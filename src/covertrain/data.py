@@ -81,19 +81,12 @@ class Dataset:
     def __getitem__(self, i: int) -> LabeledInstance:
         return LabeledInstance(self.X[i], int(self.y[i]))
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
     def subset(self, indices, role: str = "training_set") -> "Dataset":
         """Materialize the instances at `indices`, preserving their order."""
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
             raise DataError("subset index out of range")
         return Dataset(self.X[idx], self.y[idx], role=role)
-
-    def with_role(self, role: str) -> "Dataset":
-        return Dataset(self.X, self.y, role=role)
 
     def __repr__(self) -> str:
         return f"Dataset(n={len(self)}, d={self.dimension}, role={self.role!r})"

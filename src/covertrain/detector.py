@@ -20,7 +20,8 @@ flagged suspicious when psi = MMD - T >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -46,12 +47,34 @@ def rbf_kernel(z1: np.ndarray, z2: np.ndarray, sigma: float) -> float:
     return float(math.exp(-float(diff @ diff) / (2.0 * sigma * sigma)))
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def gram(Z1: np.ndarray, Z2: np.ndarray, sigma: float) -> np.ndarray:
-    """Kernel matrix between two point sets, shape (len(Z1), len(Z2))."""
+    """Kernel matrix between two point sets, shape (len(Z1), len(Z2)).
+
+    The float64 result is built in place in the distance matrix, so the
+    peak is one matrix of len(Z1) * len(Z2) * 8 bytes. A result larger than
+    physical memory raises DetectorError before anything is allocated.
+    """
     if sigma <= 0:
         raise DetectorError("sigma must be positive")
-    sq = cdist(np.atleast_2d(Z1), np.atleast_2d(Z2), "sqeuclidean")
-    return np.exp(-sq / (2.0 * sigma * sigma))
+    Z1 = np.atleast_2d(Z1)
+    Z2 = np.atleast_2d(Z2)
+    rows, cols = Z1.shape[0], Z2.shape[0]
+    needed = rows * cols * 8
+    available = _physical_memory()
+    if needed > available:
+        raise DetectorError(
+            f"{rows}x{cols} Gram matrix needs {needed} bytes, more than the "
+            f"{available} bytes of physical memory"
+        )
+    K = cdist(Z1, Z2, "sqeuclidean")
+    np.negative(K, out=K)
+    np.divide(K, 2.0 * sigma * sigma, out=K)
+    return np.exp(K, out=K)
 
 
 def label_scale(pool: Dataset) -> float:
@@ -116,16 +139,7 @@ class DetectorConfig:
         return cls(alpha=alpha, sigma=sigma, label_scale_c=c, kernel_bound=1.0)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "sigma": self.sigma,
-            "label_scale_c": self.label_scale_c,
-            "kernel_bound": self.kernel_bound,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DetectorConfig":
-        return cls(**obj)
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -136,12 +150,7 @@ class DetectionVerdict:
     suspicious: bool
 
     def to_dict(self) -> dict:
-        return {
-            "mmd": self.mmd,
-            "threshold": self.threshold,
-            "psi": self.psi,
-            "suspicious": self.suspicious,
-        }
+        return asdict(self)
 
 
 def _verdict(mmd_value: float, threshold: float) -> DetectionVerdict:
@@ -208,23 +217,39 @@ def weighted_mmd(pool_augmented: np.ndarray, b: np.ndarray, cfg: DetectorConfig)
     and reduces exactly to mmd(C, C_S) when b is the indicator of S.
     """
     K = gram(pool_augmented, pool_augmented, cfg.sigma)
-    return _weighted_mmd_from_gram(K, np.asarray(b, dtype=np.float64))
+    b = _check_weights(b, K.shape[0])
+    return _weighted_mmd(b, K @ b, *_pool_sums(K))
 
 
-def _weighted_mmd_from_gram(K: np.ndarray, b: np.ndarray) -> float:
+def _pool_sums(K: np.ndarray) -> tuple[np.ndarray, float]:
+    """Row sums of a pool Gram matrix, and their total over n^2 (the
+    weight-free first term of the MMD radicand)."""
+    row_sums = K.sum(axis=1)
     n = K.shape[0]
+    return row_sums, float(row_sums.sum()) / (n * n)
+
+
+def _check_weights(b, n: int) -> np.ndarray:
+    b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != n:
         raise DetectorError(f"{b.shape[0]} weights for pool of {n}")
     if b.min() < -1e-12 or b.max() > 1 + 1e-12:
         raise DetectorError("weights must lie in [0, 1]")
-    s = float(b.sum())
-    if s <= 0:
+    if float(b.sum()) <= 0:
         raise DetectorError("weights must have positive sum")
-    row_sums = K.sum(axis=1)
-    term_nn = float(row_sums.sum()) / (n * n)
+    return b
+
+
+def _weighted_mmd(
+    b: np.ndarray, Kb: np.ndarray, row_sums: np.ndarray, pool_term: float
+) -> float:
+    """The weighted MMD from checked weights b, the product K @ b and the
+    pool's `_pool_sums`."""
+    n = row_sums.shape[0]
+    s = float(b.sum())
     term_ns = float(b @ row_sums) / (n * s)
-    term_ss = float(b @ (K @ b)) / (s * s)
-    return math.sqrt(max(term_nn - 2.0 * term_ns + term_ss, 0.0))
+    term_ss = float(b @ Kb) / (s * s)
+    return math.sqrt(max(pool_term - 2.0 * term_ns + term_ss, 0.0))
 
 
 class PoolKernel:
@@ -241,8 +266,7 @@ class PoolKernel:
         Z = augment(pool.X, pool.y, cfg.label_scale_c)
         self.K = gram(Z, Z, cfg.sigma)
         self.K.setflags(write=False)
-        self._row_sums = self.K.sum(axis=1)
-        self._pool_term = float(self._row_sums.sum()) / (self.n * self.n)
+        self._row_sums, self._pool_term = _pool_sums(self.K)
 
     def threshold(self, m: int) -> float:
         return mmd_threshold(self.n, m, self.cfg)
@@ -267,7 +291,8 @@ class PoolKernel:
         return self.psi_indices(indices) <= -slack
 
     def weighted(self, b: np.ndarray) -> float:
-        return _weighted_mmd_from_gram(self.K, np.asarray(b, dtype=np.float64))
+        b = _check_weights(b, self.n)
+        return _weighted_mmd(b, self.K @ b, self._row_sums, self._pool_term)
 
     def weighted_psi(self, b: np.ndarray, m: int) -> float:
         return self.weighted(b) - self.threshold(m)
@@ -275,15 +300,13 @@ class PoolKernel:
     def weighted_grad(self, b: np.ndarray) -> np.ndarray:
         """Gradient of the weighted MMD w.r.t. b (zero where the radicand
         vanishes, where the square root is not differentiable)."""
-        b = np.asarray(b, dtype=np.float64)
+        b = _check_weights(b, self.n)
         s = float(b.sum())
-        if s <= 0:
-            raise DetectorError("weights must have positive sum")
         r = self._row_sums
         Kb = self.K @ b
         P = float(b @ r)
         Q = float(b @ Kb)
-        value = self.weighted(b)
+        value = _weighted_mmd(b, Kb, r, self._pool_term)
         if value < 1e-12:
             return np.zeros_like(b)
         dV = (

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .data import (
     sample_subset,
     split_train_test,
 )
-from .detector import DetectorConfig, mmd_threshold, psi
+from .detector import DetectorConfig, PoolKernel, psi
 from .learner import (
     LearnerConfig,
     WeightedTrainingView,
@@ -148,15 +148,7 @@ class EvaluationRow:
                 raise DataError(f"{name} must lie in [0, 1], got {value}")
 
     def to_dict(self) -> dict:
-        return {
-            "solver_error": self.solver_error,
-            "random_error_mean": self.random_error_mean,
-            "random_error_std": self.random_error_std,
-            "oracle_error": self.oracle_error,
-            "secret_risk": self.secret_risk,
-            "cover_index": self.cover_index,
-            "cover_id": self.cover_id,
-        }
+        return asdict(self)
 
 
 def select_cover_task(
@@ -167,11 +159,13 @@ def select_cover_task(
     cfg: LearnerConfig,
     alpha: float,
     rng: RngState,
-) -> tuple[int, CandidateSet, list[SolverReport]]:
+) -> tuple[int, CandidateSet, list[SolverReport], PoolKernel]:
     """Uniform-sampling sweep over candidate pools; the pool whose best
     subset attains the lowest secret-set risk wins (ties: first in config
-    order). Each pool gets an independent child stream and its own detector
-    calibration."""
+    order). Each pool gets an independent child stream, and its detector is
+    calibrated and its kernel built once. Returns the winner's index, best
+    set, the reports of the feasible pools and the winner's kernel, whose
+    `cfg` is the winner's detector."""
     if not candidates:
         raise DataError("need at least one cover candidate")
     reports: list[SolverReport] = []
@@ -180,23 +174,27 @@ def select_cover_task(
     failures = 0
     for i, pool in enumerate(candidates):
         det = DetectorConfig.from_pool(pool, alpha=alpha)
+        kernel = PoolKernel(pool, det)
         budget = SolverBudget(max_trainings=per_candidate_budget)
         try:
             report = solve_uniform(
-                pool, secret, m, cfg, det, budget, rng.child(i)
+                pool, secret, m, cfg, det, budget, rng.child(i), kernel=kernel
             )
         except SolverError:
             failures += 1
-            continue
-        reports.append(report)
-        if report.best.cached_risk < chosen_risk:
-            chosen_risk = report.best.cached_risk
-            chosen = (i, report.best)
+        else:
+            reports.append(report)
+            if report.best.cached_risk < chosen_risk:
+                chosen_risk = report.best.cached_risk
+                chosen = (i, report.best, kernel)
+        # Only the winner's n x n kernel may outlive its iteration, so at
+        # most two kernels are alive while the next one is built.
+        del kernel
     if chosen is None:
         raise SolverError(
             f"all {failures} candidate pools were infeasible for the detector"
         )
-    return chosen[0], chosen[1], reports
+    return chosen[0], chosen[1], reports, chosen[2]
 
 
 def random_baseline(
@@ -296,12 +294,12 @@ def run_experiment(
         stage = "select_cover"
         t0 = time.monotonic()
         per_candidate = max(cfg.selection_budget // len(covers), 1)
-        cover_index, seed_set, selection_reports = select_cover_task(
+        cover_index, seed_set, selection_reports, kernel = select_cover_task(
             secret_train, covers, cfg.m, per_candidate, cfg.learner,
             cfg.alpha, rng.child(1),
         )
         pool = covers[cover_index]
-        det = DetectorConfig.from_pool(pool, alpha=cfg.alpha)
+        det = kernel.cfg
         manifest["stages"]["select_cover"] = {
             "per_candidate_budget": per_candidate,
             "chosen_index": cover_index,
@@ -311,7 +309,7 @@ def run_experiment(
         }
         manifest["detector"] = {
             **det.to_dict(),
-            "threshold": mmd_threshold(len(pool), cfg.m, det),
+            "threshold": kernel.threshold(cfg.m),
         }
         manifest["timings"]["select_cover"] = time.monotonic() - t0
 
@@ -321,12 +319,12 @@ def run_experiment(
         if cfg.solver == "uniform":
             report = solve_uniform(
                 pool, secret_train, cfg.m, cfg.learner, det, cfg.budget,
-                solver_rng,
+                solver_rng, kernel=kernel,
             )
         elif cfg.solver == "beam":
             report = solve_beam(
                 pool, secret_train, cfg.m, cfg.learner, det, cfg.budget,
-                solver_rng,
+                solver_rng, kernel=kernel,
             )
         else:
             opts = NlpOptions(
@@ -334,7 +332,8 @@ def run_experiment(
                 wall_clock_limit=cfg.budget.wall_clock_limit,
             )
             report = solve_nlp(
-                pool, secret_train, cfg.m, cfg.learner, det, seed_set, opts
+                pool, secret_train, cfg.m, cfg.learner, det, seed_set, opts,
+                kernel=kernel,
             )
         manifest["stages"]["solve"] = report.to_dict()
         manifest["timings"]["solve"] = time.monotonic() - t0

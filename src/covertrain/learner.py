@@ -12,12 +12,12 @@ theta_hat is unique and training is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .data import CandidateSet, DataError, Dataset, LabeledInstance
+from .data import DataError, Dataset, LabeledInstance
 
 
 class TrainingError(RuntimeError):
@@ -46,10 +46,6 @@ class ModelParams:
     def to_dict(self) -> dict:
         return {"theta": [float(v) for v in self.theta]}
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ModelParams":
-        return cls(np.asarray(obj["theta"], dtype=np.float64))
-
 
 @dataclass(frozen=True)
 class LearnerConfig:
@@ -66,7 +62,7 @@ class LearnerConfig:
             raise DataError("max_iter must be at least 1")
 
     def to_dict(self) -> dict:
-        return {"lam": self.lam, "tol": self.tol, "max_iter": self.max_iter}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LearnerConfig":
@@ -94,14 +90,6 @@ class WeightedTrainingView:
         b = np.clip(b, 0.0, 1.0)
         b.setflags(write=False)
         object.__setattr__(self, "weights", b)
-
-    @classmethod
-    def from_candidate(
-        cls, pool: Dataset, candidate: CandidateSet
-    ) -> "WeightedTrainingView":
-        b = np.zeros(len(pool))
-        b[list(candidate.indices)] = 1.0
-        return cls(pool, b)
 
 
 def logistic_loss(theta: ModelParams, instance: LabeledInstance) -> float:

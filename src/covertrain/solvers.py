@@ -12,7 +12,7 @@ Strict detector feasibility psi < 0 is implemented as psi <= -1e-9
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -68,13 +68,7 @@ class SolverBudget:
         return base
 
     def to_dict(self) -> dict:
-        return {
-            "max_trainings": self.max_trainings,
-            "restarts": self.restarts,
-            "beam_width": self.beam_width,
-            "neighbors_per_state": self.neighbors_per_state,
-            "wall_clock_limit": self.wall_clock_limit,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SolverBudget":
@@ -137,36 +131,33 @@ class NlpOptions:
     max_trainings: int | None = None
     wall_clock_limit: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "max_outer": self.max_outer,
-            "max_inner": self.max_inner,
-            "step_init": self.step_init,
-            "penalty_init": self.penalty_init,
-            "penalty_growth": self.penalty_growth,
-            "penalty_max": self.penalty_max,
-            "step_tol": self.step_tol,
-            "max_trainings": self.max_trainings,
-            "wall_clock_limit": self.wall_clock_limit,
-        }
-
 
 class _Scorer:
     """Trains the learner on pool subsets and scores secret-set risk,
-    charging one training per evaluation."""
+    charging one training per evaluation. Keeps the lowest-risk subset
+    scored so far and the trajectory of (trainings, best risk) at each
+    improvement."""
 
     def __init__(self, pool: Dataset, secret: Dataset, cfg: LearnerConfig):
         self.pool = pool
         self.secret = secret
         self.cfg = cfg
         self.trainings = 0
+        self.best_idx: tuple[int, ...] | None = None
+        self.best_risk = np.inf
+        self.trajectory: list[tuple[int, float]] = []
 
-    def risk(self, indices) -> float:
+    def risk(self, indices: tuple[int, ...]) -> float:
         sub = self.pool.subset(indices, role="training_set")
         view = WeightedTrainingView(sub, np.ones(len(sub)))
         theta = train(view, self.cfg)
         self.trainings += 1
-        return empirical_risk(theta, self.secret)
+        risk = empirical_risk(theta, self.secret)
+        if risk < self.best_risk:
+            self.best_idx = indices
+            self.best_risk = risk
+            self.trajectory.append((self.trainings, risk))
+        return risk
 
     def risk_weighted(self, b: np.ndarray) -> tuple[float, ModelParams]:
         view = WeightedTrainingView(self.pool, b)
@@ -184,27 +175,25 @@ class _Deadline:
 
 
 def _finalize(
-    best_indices,
-    best_risk: float,
-    kernel: PoolKernel,
     scorer: _Scorer,
+    kernel: PoolKernel,
     rejections: int,
-    trajectory,
     name: str,
     seed: int | None,
     diagnostics: dict | None = None,
 ) -> SolverReport:
-    verdict = kernel.verdict_indices(best_indices)
+    """Re-check the scorer's best set against the detector and report it."""
+    verdict = kernel.verdict_indices(scorer.best_idx)
     if verdict.psi >= 0.0:
         raise SolverError(
             f"{name}: returned set fails the detector (psi={verdict.psi:.3e})"
         )
-    best = CandidateSet(tuple(best_indices)).with_cache(best_risk, verdict.psi)
+    best = CandidateSet(scorer.best_idx).with_cache(scorer.best_risk, verdict.psi)
     return SolverReport(
         best=best,
         trainings_used=scorer.trainings,
         feasibility_rejections=rejections,
-        trajectory=list(trajectory),
+        trajectory=list(scorer.trajectory),
         solver_name=name,
         seed=seed,
         diagnostics=diagnostics or {},
@@ -240,10 +229,6 @@ def solve_uniform(
     seen: set[tuple[int, ...]] = set()
     rejections = 0
     draws = 0
-    best_idx = None
-    best_risk = np.inf
-    trajectory: list[tuple[int, float]] = []
-
     while scorer.trainings < B and draws < draw_cap and not deadline.expired():
         draws += 1
         cand = sample_subset(pool, m, rng)
@@ -254,13 +239,9 @@ def solve_uniform(
             if cand.indices in seen:
                 continue
             seen.add(cand.indices)
-        risk = scorer.risk(cand.indices)
-        if risk < best_risk:
-            best_risk = risk
-            best_idx = cand.indices
-            trajectory.append((scorer.trainings, best_risk))
+        scorer.risk(cand.indices)
 
-    if best_idx is None:
+    if scorer.best_idx is None:
         if deadline.expired():
             raise SolverError(
                 "wall clock limit reached before any feasible subset was evaluated"
@@ -268,10 +249,7 @@ def solve_uniform(
         raise SolverError(
             f"feasible region unreachable: no feasible subset in {draws} draws"
         )
-    return _finalize(
-        best_idx, best_risk, kernel, scorer, rejections, trajectory,
-        "uniform", rng.seed,
-    )
+    return _finalize(scorer, kernel, rejections, "uniform", rng.seed)
 
 
 def neighbors(
@@ -342,17 +320,6 @@ def solve_beam(
     init_cap = DRAW_CAP_FACTOR * max(budget.max_trainings, w)
 
     rejections = 0
-    best_idx = None
-    best_risk = np.inf
-    trajectory: list[tuple[int, float]] = []
-
-    def record(idx: tuple[int, ...], risk: float) -> None:
-        nonlocal best_idx, best_risk
-        if risk < best_risk:
-            best_risk = risk
-            best_idx = idx
-            trajectory.append((scorer.trainings, best_risk))
-
     for r in range(budget.restarts):
         budget_end = scorer.trainings + budget.per_restart(r)
         evaluated: dict[tuple[int, ...], float] = {}
@@ -375,7 +342,6 @@ def solve_beam(
             risk = scorer.risk(cand.indices)
             evaluated[cand.indices] = risk
             beam.append((risk, cand.indices))
-            record(cand.indices, risk)
         if not beam:
             if scorer.trainings >= budget_end:
                 continue  # restart had no budget left
@@ -411,16 +377,12 @@ def solve_beam(
                 risk = scorer.risk(idx)
                 evaluated[idx] = risk
                 union.append((risk, idx))
-                record(idx, risk)
             union.sort()
             beam = union[:w]
 
-    if best_idx is None:
+    if scorer.best_idx is None:
         raise SolverError("feasible region unreachable: beam never initialized")
-    return _finalize(
-        best_idx, best_risk, kernel, scorer, rejections, trajectory,
-        "beam", rng.seed,
-    )
+    return _finalize(scorer, kernel, rejections, "beam", rng.seed)
 
 
 def project_capped_simplex(v: np.ndarray, total: float) -> np.ndarray:
@@ -587,30 +549,22 @@ def round_relaxed(
     candidates = rounding_candidates(sol.b, seed_set.indices, len(pool), m)
 
     rejections = 0
-    best_idx = None
-    best_risk = np.inf
-    trajectory: list[tuple[int, float]] = []
     for idx in candidates:
         out_of_budget = (
             max_trainings is not None
             and scorer.trainings >= max_trainings
-            and best_idx is not None
+            and scorer.best_idx is not None
         )
         if out_of_budget:
             break
         if not kernel.feasible(idx, FEASIBILITY_SLACK):
             rejections += 1
             continue
-        risk = scorer.risk(idx)
-        if risk < best_risk:
-            best_risk = risk
-            best_idx = idx
-            trajectory.append((scorer.trainings, best_risk))
-    if best_idx is None:
+        scorer.risk(idx)
+    if scorer.best_idx is None:
         raise SolverError("no feasible rounding candidate (seed should be)")
     return _finalize(
-        best_idx, best_risk, kernel, scorer, rejections, trajectory,
-        "nlp", None,
+        scorer, kernel, rejections, "nlp", None,
         diagnostics={"candidates": [list(c) for c in candidates]},
     )
 
@@ -623,6 +577,7 @@ def solve_nlp(
     det: DetectorConfig,
     seed_set: CandidateSet,
     opts: NlpOptions = NlpOptions(),
+    kernel: PoolKernel | None = None,
 ) -> SolverReport:
     """Continuous relaxation followed by swap rounding.
 
@@ -632,7 +587,7 @@ def solve_nlp(
     """
     if m < 1 or m > len(pool):
         raise DataError(f"subset size {m} out of range for pool of {len(pool)}")
-    kernel = PoolKernel(pool, det)
+    kernel = kernel or PoolKernel(pool, det)
     scorer = _Scorer(pool, secret, cfg)
 
     rounding_reserve = min(m, len(pool) - m) + 1

@@ -7,7 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
+import covertrain.detector as detector
 from covertrain import (
     CandidateSet,
     DetectorConfig,
@@ -277,6 +282,82 @@ class TestPoolKernel:
         Z = augment(pool.X, pool.y, cfg.label_scale_c)
         b = RngState(21).generator.uniform(0.0, 1.0, size=len(pool))
         assert kernel.weighted(b) == pytest.approx(weighted_mmd(Z, b, cfg), abs=1e-13)
+
+
+class TestGramMemoryGuard:
+    @pytest.fixture
+    def tiny_memory(self, monkeypatch):
+        monkeypatch.setattr(detector, "_physical_memory", lambda: 1000)
+
+    def test_raises_before_allocating(self, tiny_memory, monkeypatch):
+        def no_cdist(*args, **kwargs):
+            raise AssertionError("distance matrix allocated")
+
+        monkeypatch.setattr(detector, "cdist", no_cdist)
+        with pytest.raises(DetectorError, match=r"20x12 Gram matrix needs 1920 bytes"):
+            gram(np.zeros((20, 2)), np.zeros((12, 2)), 1.0)
+
+    def test_fits_at_the_limit(self, tiny_memory):
+        K = gram(np.zeros((5, 2)), np.zeros((25, 2)), 1.0)  # exactly 1000 bytes
+        assert np.array_equal(K, np.ones((5, 25)))
+
+    def test_kernel_and_detect_surface_the_error(self, tiny_memory):
+        pool = gaussian_task(30, 10)
+        cfg = config(sigma=1.0, c=1.0)
+        with pytest.raises(DetectorError, match="20x20"):
+            PoolKernel(pool, cfg)
+        with pytest.raises(DetectorError, match="20x20"):
+            detect(pool, pool.subset(range(5)), cfg)
+
+
+_coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+_sigmas = st.floats(0.1, 10.0)
+
+
+@st.composite
+def _pools(draw, max_n=20):
+    n = draw(st.integers(2, max_n))
+    d = draw(st.integers(1, 3))
+    X = draw(arrays(np.float64, (n, d), elements=_coords))
+    y = draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    cfg = config(sigma=draw(_sigmas), c=draw(st.floats(0.0, 5.0)))
+    return make_dataset(X, y), cfg
+
+
+class TestProperties:
+    @settings(deadline=None)
+    @given(st.data(), st.integers(1, 3), _sigmas)
+    def test_gram_equals_textbook_expression(self, data, d, sigma):
+        Z1 = data.draw(arrays(np.float64, (data.draw(st.integers(1, 15)), d),
+                              elements=_coords))
+        Z2 = data.draw(arrays(np.float64, (data.draw(st.integers(1, 15)), d),
+                              elements=_coords))
+        expected = np.exp(-cdist(Z1, Z2, "sqeuclidean") / (2.0 * sigma * sigma))
+        assert np.array_equal(gram(Z1, Z2, sigma), expected)
+
+    @settings(deadline=None)
+    @given(st.data(), _pools())
+    def test_kernel_weighted_equals_weighted_mmd(self, data, pool_cfg):
+        pool, cfg = pool_cfg
+        b = data.draw(arrays(np.float64, len(pool), elements=st.floats(0.0, 1.0)))
+        b[data.draw(st.integers(0, len(pool) - 1))] = 1.0  # positive sum
+        Z = augment(pool.X, pool.y, cfg.label_scale_c)
+        assert PoolKernel(pool, cfg).weighted(b) == weighted_mmd(Z, b, cfg)
+
+    @settings(deadline=None)
+    @given(st.data(), _pools())
+    def test_weighted_at_indicator_equals_subset_mmd(self, data, pool_cfg):
+        pool, cfg = pool_cfg
+        idx = sorted(data.draw(st.sets(st.integers(0, len(pool) - 1), min_size=1)))
+        b = np.zeros(len(pool))
+        b[idx] = 1.0
+        kernel = PoolKernel(pool, cfg)
+        weighted, exact = kernel.weighted(b), kernel.mmd_indices(idx)
+        # The two radicands agree to rounding; near MMD = 0 (the full pool,
+        # say) the square root magnifies that rounding to about 1e-8.
+        assert abs(weighted ** 2 - exact ** 2) <= 1e-13
+        if exact >= 1e-2:
+            assert abs(weighted - exact) <= 1e-12
 
 
 def _mixture_sample(gen, size):

@@ -13,9 +13,11 @@ import covertrain.harness as harness
 from covertrain import (
     CandidateSet,
     DataError,
+    DetectorConfig,
     EvaluationRow,
     ExperimentConfig,
     LearnerConfig,
+    PoolKernel,
     RngState,
     SolverBudget,
     SolverReport,
@@ -36,7 +38,7 @@ class TestSelectCoverTask:
     def test_single_candidate_chosen(self, learner_cfg):
         secret = gaussian_task(1, 10, role="secret_set")
         pool = gaussian_task(2, 10)
-        idx, best, reports = select_cover_task(
+        idx, best, reports, _ = select_cover_task(
             secret, [pool], 4, 30, learner_cfg, 0.05, RngState(0)
         )
         assert idx == 0
@@ -50,7 +52,7 @@ class TestSelectCoverTask:
         secret = gaussian_task(3, 20, separation=5.0, axis=0, role="secret_set")
         matching = gaussian_task(4, 20, separation=5.0, axis=0)
         orthogonal = gaussian_task(5, 20, separation=5.0, axis=1)
-        idx, best, _ = select_cover_task(
+        idx, best, _, _ = select_cover_task(
             secret, [orthogonal, matching], 6, 40, learner_cfg, 0.05, RngState(1)
         )
         assert idx == 1
@@ -65,7 +67,7 @@ class TestSelectCoverTask:
                                 "uniform", rng.seed)
 
         monkeypatch.setattr(harness, "solve_uniform", fake_solve)
-        idx, _, _ = select_cover_task(
+        idx, _, _, _ = select_cover_task(
             secret, [pool, pool, pool], 4, 10, learner_cfg, 0.05, RngState(2)
         )
         assert idx == 0
@@ -169,6 +171,28 @@ class TestRunExperiment:
         # manifest carries the frozen detector calibration
         assert manifest["detector"]["sigma"] > 0
         assert manifest["detector"]["label_scale_c"] >= 0
+
+    @pytest.mark.parametrize("solver", ["uniform", "beam", "nlp"])
+    def test_one_calibration_and_kernel_per_pool(self, tmp_path, monkeypatch,
+                                                 solver):
+        calls = {"from_pool": 0, "kernel": 0}
+        from_pool = DetectorConfig.from_pool.__func__
+        kernel_init = PoolKernel.__init__
+
+        def counted_from_pool(cls, *args, **kwargs):
+            calls["from_pool"] += 1
+            return from_pool(cls, *args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            calls["kernel"] += 1
+            kernel_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DetectorConfig, "from_pool",
+                            classmethod(counted_from_pool))
+        monkeypatch.setattr(PoolKernel, "__init__", counted_init)
+        paths = write_task_files(tmp_path)
+        run_experiment(base_config(tmp_path, paths, solver=solver))
+        assert calls == {"from_pool": 1, "kernel": 1}
 
     def test_solver_budget_respected_in_solve_stage(self, tmp_path):
         paths = write_task_files(tmp_path)

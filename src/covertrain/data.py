@@ -62,9 +62,9 @@ class Dataset:
             raise DataError("empty dataset")
         if not np.all(np.isfinite(X)):
             raise DataError("non-finite feature value")
-        if y.size and not np.all(np.isin(y, (-1, 1))):
-            bad = y[~np.isin(y, (-1, 1))][0]
-            raise DataError(f"label must be -1 or +1, got {bad}")
+        bad = y[(y != 1) & (y != -1)]
+        if bad.size:
+            raise DataError(f"label must be -1 or +1, got {bad[0]}")
         X.setflags(write=False)
         y.setflags(write=False)
         self.X = X

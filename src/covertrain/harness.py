@@ -110,8 +110,8 @@ class ExperimentConfig:
             cover_paths=tuple(obj["covers"]),
             m=int(obj["m"]),
             solver=obj["solver"],
-            budget=SolverBudget.from_dict(obj["budget"]),
-            learner=LearnerConfig.from_dict(obj.get("learner", {})),
+            budget=SolverBudget(**obj["budget"]),
+            learner=LearnerConfig(**obj.get("learner", {})),
             alpha=float(obj.get("alpha", 0.05)),
             test_fraction=obj.get("test_fraction"),
             test_path=obj.get("test"),

@@ -64,10 +64,6 @@ class LearnerConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "LearnerConfig":
-        return cls(**obj)
-
 
 @dataclass(frozen=True)
 class WeightedTrainingView:

@@ -12,6 +12,7 @@ Strict detector feasibility psi < 0 is implemented as psi <= -1e-9
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -29,6 +30,17 @@ from .learner import (
 )
 
 FEASIBILITY_SLACK = 1e-9
+
+# Fixed schedule of the relaxed solver: penalty rounds, projected-gradient
+# steps per round, the backtracking step size and its floor, and the
+# detector penalty weight's start, growth per round and cap.
+OUTER_ROUNDS = 6
+INNER_STEPS = 40
+STEP_INIT = 1.0
+STEP_TOL = 1e-10
+PENALTY_INIT = 1.0
+PENALTY_GROWTH = 10.0
+PENALTY_MAX = 1e6
 
 # Cap on detector-only draws, as a multiple of the training budget.
 DRAW_CAP_FACTOR = 10
@@ -70,16 +82,15 @@ class SolverBudget:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SolverBudget":
-        return cls(**obj)
-
 
 @dataclass
 class SolverReport:
     """Audited outcome of one solver run. The returned set is always
     re-checked against the detector; trajectory entries are
-    (trainings_used_so_far, best_risk_so_far) and non-increasing in risk."""
+    (trainings_used_so_far, best_risk_so_far) and non-increasing in risk.
+    feasibility_rejections counts the random draws (uniform search, beam
+    initialisation) and rounding candidates that failed the detector; beam's
+    neighbour proposals are not counted."""
 
     best: CandidateSet
     trainings_used: int
@@ -117,35 +128,64 @@ class RelaxedSolution:
 
 @dataclass(frozen=True)
 class NlpOptions:
-    """Knobs for the relaxation solver. The detector constraint is handled
-    by a quadratic penalty escalated by penalty_growth per outer round; the
-    sum constraint by projection; stationarity exactly, by retraining."""
+    """Limits of the relaxation solver: a cap on learner trainings and a
+    wall-clock limit in seconds. Its schedule is fixed (OUTER_ROUNDS and the
+    constants beside it)."""
 
-    max_outer: int = 6
-    max_inner: int = 40
-    step_init: float = 1.0
-    penalty_init: float = 1.0
-    penalty_growth: float = 10.0
-    penalty_max: float = 1e6
-    step_tol: float = 1e-10
     max_trainings: int | None = None
     wall_clock_limit: float | None = None
 
 
 class _Scorer:
-    """Trains the learner on pool subsets and scores secret-set risk,
-    charging one training per evaluation. Keeps the lowest-risk subset
-    scored so far and the trajectory of (trainings, best risk) at each
-    improvement."""
+    """One solver run's accounting. Trains the learner on pool subsets and
+    scores secret-set risk, charging one training per evaluation; audits
+    subsets against the detector, counting rejections; and holds the
+    wall-clock deadline. Keeps the lowest-risk subset scored so far and the
+    trajectory of (trainings, best risk) at each improvement."""
 
-    def __init__(self, pool: Dataset, secret: Dataset, cfg: LearnerConfig):
+    def __init__(self, pool: Dataset, secret: Dataset, cfg: LearnerConfig,
+                 kernel: PoolKernel, wall_clock_limit: float | None = None):
         self.pool = pool
         self.secret = secret
         self.cfg = cfg
+        self.kernel = kernel
+        self.start = time.monotonic()
+        self.limit = wall_clock_limit
         self.trainings = 0
+        self.rejections = 0
         self.best_idx: tuple[int, ...] | None = None
         self.best_risk = np.inf
         self.trajectory: list[tuple[int, float]] = []
+
+    def feasible(self, indices: tuple[int, ...]) -> bool:
+        if self.kernel.feasible(indices, FEASIBILITY_SLACK):
+            return True
+        self.rejections += 1
+        return False
+
+    def expired(self) -> bool:
+        return self.limit is not None and time.monotonic() - self.start >= self.limit
+
+    def spent(self, cap: int | None) -> bool:
+        """True once `cap` trainings are charged or the deadline has passed."""
+        return (cap is not None and self.trainings >= cap) or self.expired()
+
+    def draw(self, m: int, rng: RngState, cap: int,
+             done: Callable[[], bool], scored: dict | None) -> int:
+        """Score uniformly drawn feasible m-subsets until `done()` or `cap`
+        draws; returns the number of draws. With `scored` a dict, subsets
+        already in it are skipped and each new risk is stored there."""
+        draws = 0
+        while draws < cap and not done():
+            draws += 1
+            idx = sample_subset(self.pool, m, rng).indices
+            if not self.feasible(idx):
+                continue
+            if scored is None:
+                self.risk(idx)
+            elif idx not in scored:
+                scored[idx] = self.risk(idx)
+        return draws
 
     def risk(self, indices: tuple[int, ...]) -> float:
         sub = self.pool.subset(indices, role="training_set")
@@ -166,24 +206,11 @@ class _Scorer:
         return empirical_risk(theta, self.secret), theta
 
 
-class _Deadline:
-    def __init__(self, limit: float | None):
-        self.end = None if limit is None else time.monotonic() + limit
-
-    def expired(self) -> bool:
-        return self.end is not None and time.monotonic() >= self.end
-
-
 def _finalize(
-    scorer: _Scorer,
-    kernel: PoolKernel,
-    rejections: int,
-    name: str,
-    seed: int | None,
-    diagnostics: dict | None = None,
+    scorer: _Scorer, name: str, seed: int | None, diagnostics: dict | None = None
 ) -> SolverReport:
     """Re-check the scorer's best set against the detector and report it."""
-    verdict = kernel.verdict_indices(scorer.best_idx)
+    verdict = scorer.kernel.verdict_indices(scorer.best_idx)
     if verdict.psi >= 0.0:
         raise SolverError(
             f"{name}: returned set fails the detector (psi={verdict.psi:.3e})"
@@ -192,7 +219,7 @@ def _finalize(
     return SolverReport(
         best=best,
         trainings_used=scorer.trainings,
-        feasibility_rejections=rejections,
+        feasibility_rejections=scorer.rejections,
         trajectory=list(scorer.trajectory),
         solver_name=name,
         seed=seed,
@@ -220,36 +247,22 @@ def solve_uniform(
     """
     if m < 1 or m > len(pool):
         raise DataError(f"subset size {m} out of range for pool of {len(pool)}")
-    kernel = kernel or PoolKernel(pool, det)
-    scorer = _Scorer(pool, secret, cfg)
-    deadline = _Deadline(budget.wall_clock_limit)
+    scorer = _Scorer(
+        pool, secret, cfg, kernel or PoolKernel(pool, det), budget.wall_clock_limit
+    )
     B = budget.max_trainings
-    draw_cap = DRAW_CAP_FACTOR * B
-
-    seen: set[tuple[int, ...]] = set()
-    rejections = 0
-    draws = 0
-    while scorer.trainings < B and draws < draw_cap and not deadline.expired():
-        draws += 1
-        cand = sample_subset(pool, m, rng)
-        if not kernel.feasible(cand.indices, FEASIBILITY_SLACK):
-            rejections += 1
-            continue
-        if dedup:
-            if cand.indices in seen:
-                continue
-            seen.add(cand.indices)
-        scorer.risk(cand.indices)
-
+    draws = scorer.draw(
+        m, rng, DRAW_CAP_FACTOR * B, lambda: scorer.spent(B), {} if dedup else None
+    )
     if scorer.best_idx is None:
-        if deadline.expired():
+        if scorer.expired():
             raise SolverError(
                 "wall clock limit reached before any feasible subset was evaluated"
             )
         raise SolverError(
             f"feasible region unreachable: no feasible subset in {draws} draws"
         )
-    return _finalize(scorer, kernel, rejections, "uniform", rng.seed)
+    return _finalize(scorer, "uniform", rng.seed)
 
 
 def neighbors(
@@ -314,48 +327,31 @@ def solve_beam(
     if m < 1 or m > len(pool):
         raise DataError(f"subset size {m} out of range for pool of {len(pool)}")
     kernel = kernel or PoolKernel(pool, det)
-    scorer = _Scorer(pool, secret, cfg)
-    deadline = _Deadline(budget.wall_clock_limit)
+    scorer = _Scorer(pool, secret, cfg, kernel, budget.wall_clock_limit)
     w = budget.beam_width
     init_cap = DRAW_CAP_FACTOR * max(budget.max_trainings, w)
 
-    rejections = 0
     for r in range(budget.restarts):
         budget_end = scorer.trainings + budget.per_restart(r)
         evaluated: dict[tuple[int, ...], float] = {}
-        beam: list[tuple[float, tuple[int, ...]]] = []
-
-        draws = 0
-        while (
-            len(beam) < w
-            and scorer.trainings < budget_end
-            and draws < init_cap
-            and not deadline.expired()
-        ):
-            draws += 1
-            cand = sample_subset(pool, m, rng)
-            if not kernel.feasible(cand.indices, FEASIBILITY_SLACK):
-                rejections += 1
-                continue
-            if cand.indices in evaluated:
-                continue
-            risk = scorer.risk(cand.indices)
-            evaluated[cand.indices] = risk
-            beam.append((risk, cand.indices))
-        if not beam:
+        draws = scorer.draw(
+            m, rng, init_cap,
+            lambda: len(evaluated) >= w or scorer.spent(budget_end), evaluated,
+        )
+        if not evaluated:
             if scorer.trainings >= budget_end:
                 continue  # restart had no budget left
             raise SolverError(
                 f"beam initialization found no feasible subset in {draws} draws"
             )
-        if len(beam) < w and draws >= init_cap:
+        if len(evaluated) < w and draws >= init_cap:
             raise SolverError(
-                f"beam initialization found only {len(beam)}/{w} feasible "
+                f"beam initialization found only {len(evaluated)}/{w} feasible "
                 f"subsets in {draws} draws"
             )
-        beam.sort()
+        beam = sorted((risk, idx) for idx, risk in evaluated.items())
 
-        while scorer.trainings < budget_end and not deadline.expired():
+        while not scorer.spent(budget_end):
             fresh: list[tuple[int, ...]] = []
             fresh_seen: set[tuple[int, ...]] = set()
             for _, idx in beam:
@@ -372,7 +368,7 @@ def solve_beam(
                 break  # nothing new reachable from this beam
             union = list(beam)
             for idx in fresh:
-                if scorer.trainings >= budget_end or deadline.expired():
+                if scorer.spent(budget_end):
                     break
                 risk = scorer.risk(idx)
                 evaluated[idx] = risk
@@ -382,7 +378,7 @@ def solve_beam(
 
     if scorer.best_idx is None:
         raise SolverError("feasible region unreachable: beam never initialized")
-    return _finalize(scorer, kernel, rejections, "beam", rng.seed)
+    return _finalize(scorer, "beam", rng.seed)
 
 
 def project_capped_simplex(v: np.ndarray, total: float) -> np.ndarray:
@@ -416,7 +412,6 @@ def solve_relaxed(
     det: DetectorConfig,
     seed_set: CandidateSet,
     opts: NlpOptions = NlpOptions(),
-    kernel: PoolKernel | None = None,
     scorer: _Scorer | None = None,
 ) -> RelaxedSolution:
     """Continuous relaxation: minimize secret risk of theta_hat(b) over
@@ -427,39 +422,39 @@ def solve_relaxed(
     loop on the detector constraint; the sum constraint is enforced by
     projection and learner stationarity exactly, by retraining at every
     iterate. Descent contract: the returned b is never worse (in true
-    objective) than the feasible seed indicator it starts from.
+    objective) than the feasible seed indicator it starts from. A given
+    `scorer` brings its own kernel and deadline; opts.max_trainings caps
+    the trainings it has charged.
     """
     n = len(pool)
     if len(seed_set) != m:
         raise DataError(f"seed set has {len(seed_set)} indices, expected {m}")
-    kernel = kernel or PoolKernel(pool, det)
-    scorer = scorer or _Scorer(pool, secret, cfg)
-    deadline = _Deadline(opts.wall_clock_limit)
+    scorer = scorer or _Scorer(
+        pool, secret, cfg, PoolKernel(pool, det), opts.wall_clock_limit
+    )
+    kernel = scorer.kernel
     cap = opts.max_trainings
 
-    if not kernel.feasible(seed_set.indices, FEASIBILITY_SLACK):
+    if not scorer.feasible(seed_set.indices):
         raise SolverError("seed set fails the detector")
-
-    def exhausted() -> bool:
-        return (cap is not None and scorer.trainings >= cap) or deadline.expired()
 
     b = np.zeros(n)
     b[list(seed_set.indices)] = 1.0
 
     risk, theta = scorer.risk_weighted(b)
-    best_b, best_risk, best_theta = b.copy(), risk, theta
+    psi_b = kernel.weighted_psi(b, m)
+    best_b, best_risk, best_theta, best_psi = b.copy(), risk, theta, psi_b
 
     def penalty(psi_b: float, rho: float) -> float:
         violation = max(psi_b + FEASIBILITY_SLACK, 0.0)
         return rho * violation * violation
 
-    rho = opts.penalty_init
-    for _ in range(opts.max_outer):
-        psi_b = kernel.weighted_psi(b, m)
+    rho = PENALTY_INIT
+    for _ in range(OUTER_ROUNDS):
         obj = risk + penalty(psi_b, rho)
-        eta = opts.step_init
-        for _ in range(opts.max_inner):
-            if exhausted():
+        eta = STEP_INIT
+        for _ in range(INNER_STEPS):
+            if scorer.spent(cap):
                 break
             view = WeightedTrainingView(pool, b)
             grad = risk_gradient_wrt_weights(view, cfg, secret, theta=theta)
@@ -468,9 +463,9 @@ def solve_relaxed(
                 grad = grad + rho * 2.0 * violation * kernel.weighted_grad(b)
 
             moved = False
-            while eta > opts.step_tol and not exhausted():
+            while eta > STEP_TOL and not scorer.spent(cap):
                 b_new = project_capped_simplex(b - eta * grad, float(m))
-                if float(np.abs(b_new - b).max()) <= opts.step_tol:
+                if float(np.abs(b_new - b).max()) <= STEP_TOL:
                     break
                 risk_new, theta_new = scorer.risk_weighted(b_new)
                 psi_new = kernel.weighted_psi(b_new, m)
@@ -480,16 +475,15 @@ def solve_relaxed(
                     moved = True
                     if psi_b <= -FEASIBILITY_SLACK and risk < best_risk:
                         best_b, best_risk, best_theta = b.copy(), risk, theta
-                    eta = min(eta * 2.0, opts.step_init)
+                        best_psi = psi_b
+                    eta = min(eta * 2.0, STEP_INIT)
                     break
                 eta *= 0.5
             if not moved:
                 break  # projected-gradient stationary at this penalty level
-        if exhausted():
+        if scorer.spent(cap) or psi_b <= -FEASIBILITY_SLACK:
             break
-        if kernel.weighted_psi(b, m) <= -FEASIBILITY_SLACK:
-            break
-        rho = min(rho * opts.penalty_growth, opts.penalty_max)
+        rho = min(rho * PENALTY_GROWTH, PENALTY_MAX)
 
     resid = stationarity_residual(
         best_theta, WeightedTrainingView(pool, best_b), cfg
@@ -498,7 +492,7 @@ def solve_relaxed(
         b=best_b,
         theta=best_theta,
         stationarity_resid=resid,
-        psi_b=kernel.weighted_psi(best_b, m),
+        psi_b=best_psi,
     )
 
 
@@ -534,7 +528,6 @@ def round_relaxed(
     m: int,
     cfg: LearnerConfig,
     det: DetectorConfig,
-    kernel: PoolKernel | None = None,
     scorer: _Scorer | None = None,
     max_trainings: int | None = None,
 ) -> SolverReport:
@@ -542,13 +535,12 @@ def round_relaxed(
 
     The seed set is candidate 0 and is feasible by precondition, so the
     result is never worse than the seed. A training cap cuts the candidate
-    sweep short but always admits the seed evaluation.
+    sweep short but always admits the seed evaluation. The sweep ignores the
+    wall-clock limit.
     """
-    kernel = kernel or PoolKernel(pool, det)
-    scorer = scorer or _Scorer(pool, secret, cfg)
+    scorer = scorer or _Scorer(pool, secret, cfg, PoolKernel(pool, det))
     candidates = rounding_candidates(sol.b, seed_set.indices, len(pool), m)
 
-    rejections = 0
     for idx in candidates:
         out_of_budget = (
             max_trainings is not None
@@ -557,14 +549,13 @@ def round_relaxed(
         )
         if out_of_budget:
             break
-        if not kernel.feasible(idx, FEASIBILITY_SLACK):
-            rejections += 1
+        if not scorer.feasible(idx):
             continue
         scorer.risk(idx)
     if scorer.best_idx is None:
         raise SolverError("no feasible rounding candidate (seed should be)")
     return _finalize(
-        scorer, kernel, rejections, "nlp", None,
+        scorer, "nlp", None,
         diagnostics={"candidates": [list(c) for c in candidates]},
     )
 
@@ -587,8 +578,9 @@ def solve_nlp(
     """
     if m < 1 or m > len(pool):
         raise DataError(f"subset size {m} out of range for pool of {len(pool)}")
-    kernel = kernel or PoolKernel(pool, det)
-    scorer = _Scorer(pool, secret, cfg)
+    scorer = _Scorer(
+        pool, secret, cfg, kernel or PoolKernel(pool, det), opts.wall_clock_limit
+    )
 
     rounding_reserve = min(m, len(pool) - m) + 1
     relax_opts = opts
@@ -604,12 +596,12 @@ def solve_nlp(
 
     sol = solve_relaxed(
         pool, secret, m, cfg, det, seed_set,
-        opts=relax_opts, kernel=kernel, scorer=scorer,
+        opts=relax_opts, scorer=scorer,
     )
     relaxed_trainings = scorer.trainings
     report = round_relaxed(
         sol, seed_set, pool, secret, m, cfg, det,
-        kernel=kernel, scorer=scorer, max_trainings=opts.max_trainings,
+        scorer=scorer, max_trainings=opts.max_trainings,
     )
     report.diagnostics.update(
         {

@@ -35,6 +35,9 @@ class TestDataset:
     def test_rejects_bad_labels(self):
         with pytest.raises(DataError, match="label"):
             make_dataset([[1.0]], [0])
+        # the message names the first bad label
+        with pytest.raises(DataError, match="got 0$"):
+            make_dataset([[1.0], [2.0], [3.0]], [1, 0, 2])
 
     def test_rejects_empty_pool(self):
         with pytest.raises(DataError, match="empty"):

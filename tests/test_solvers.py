@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import covertrain.solvers as solvers
 from covertrain import (
     CandidateSet,
     DetectorConfig,
+    acceptance_spec,
+    generate,
     mmd_threshold,
     NlpOptions,
     PoolKernel,
@@ -408,3 +413,105 @@ class TestSolveNlp:
         report = solve_nlp(pool, secret, 5, learner_cfg, det, seed_set,
                            NlpOptions(max_trainings=B))
         assert report.trainings_used <= B
+
+
+def tightened_instance(seed=3, quantile=0.2, m=20, draws=200):
+    """Acceptance-family pool whose detector threshold sits at the
+    `quantile` of the MMD of random m-subsets, so most random subsets and
+    many relaxed iterates fail it; also returns a feasible random seed set."""
+    secret, pool, _ = generate(acceptance_spec(seed))
+    base = DetectorConfig.from_pool(pool)
+    kernel = PoolKernel(pool, base)
+    rng = RngState(seed)
+    values = sorted(
+        kernel.mmd_indices(sample_subset(pool, m, rng).indices)
+        for _ in range(draws)
+    )
+    target = values[int(quantile * (len(values) - 1))]
+    # the threshold scales as sqrt(K); land it on the target quantile
+    K = (target / mmd_threshold(len(pool), m, base)) ** 2
+    det = replace(base, kernel_bound=K)
+    strict = PoolKernel(pool, det)
+    seed_set = sample_subset(pool, m, rng)
+    while not strict.feasible(seed_set.indices, FEASIBILITY_SLACK):
+        seed_set = sample_subset(pool, m, rng)
+    return pool, secret, det, seed_set
+
+
+class TestPenaltyPath:
+    def test_relaxed_solver_pays_the_detector_penalty(self, learner_cfg, monkeypatch):
+        pool, secret, det, seed_set = tightened_instance()
+        calls = []
+        weighted_grad = PoolKernel.weighted_grad
+
+        def counted(self, b):
+            calls.append(1)
+            return weighted_grad(self, b)
+
+        monkeypatch.setattr(PoolKernel, "weighted_grad", counted)
+        seed_risk = subset_risk(pool, seed_set.indices, secret, learner_cfg)
+        sol = solve_relaxed(pool, secret, 20, learner_cfg, det, seed_set,
+                            NlpOptions(max_trainings=100))
+        assert calls  # some iterate violated the detector
+        assert sol.psi_b <= -FEASIBILITY_SLACK
+        assert abs(sol.b.sum() - 20) <= 1e-6
+        assert empirical_risk(sol.theta, secret) <= seed_risk + 1e-9
+
+
+class TestAccounting:
+    """Report counters against counts taken around the detector check and
+    the learner."""
+
+    @pytest.fixture
+    def instance(self):
+        return tightened_instance()
+
+    @pytest.fixture
+    def counted(self, instance, monkeypatch):
+        """(detector answers, trainings), counted once the instance is built."""
+        answers, trainings = [], []
+        feasible = PoolKernel.feasible
+
+        def audited(self, indices, slack=FEASIBILITY_SLACK):
+            ok = feasible(self, indices, slack)
+            answers.append(ok)
+            return ok
+
+        def trained(*args, **kwargs):
+            trainings.append(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(PoolKernel, "feasible", audited)
+        monkeypatch.setattr(solvers, "train", trained)
+        return answers, trainings
+
+    budget = SolverBudget(max_trainings=40, restarts=2, beam_width=4,
+                          neighbors_per_state=8)
+
+    def test_uniform(self, learner_cfg, instance, counted):
+        answers, trainings = counted
+        pool, secret, det, _ = instance
+        report = solve_uniform(pool, secret, 20, learner_cfg, det, self.budget,
+                               RngState(5))
+        assert answers.count(False) > 0
+        assert report.feasibility_rejections == answers.count(False)
+        assert report.trainings_used == len(trainings)
+
+    def test_beam_leaves_out_neighbour_proposals(self, learner_cfg, instance,
+                                                 counted):
+        answers, trainings = counted
+        pool, secret, det, _ = instance
+        report = solve_beam(pool, secret, 20, learner_cfg, det, self.budget,
+                            RngState(6))
+        # rejected neighbour proposals are among the False answers only
+        assert 0 < report.feasibility_rejections < answers.count(False)
+        assert report.trainings_used == len(trainings)
+
+    def test_nlp(self, learner_cfg, instance, counted):
+        answers, trainings = counted
+        pool, secret, det, seed_set = instance
+        report = solve_nlp(pool, secret, 20, learner_cfg, det, seed_set,
+                           NlpOptions(max_trainings=100))
+        assert answers.count(False) > 0
+        assert report.feasibility_rejections == answers.count(False)
+        assert report.trainings_used == len(trainings)

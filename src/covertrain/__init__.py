@@ -5,7 +5,6 @@ from .data import (
     CandidateSet,
     DataError,
     Dataset,
-    LabeledInstance,
     RngState,
     load_dataset,
     sample_subset,
@@ -25,7 +24,6 @@ from .detector import (
     mmd,
     mmd_threshold,
     psi,
-    rbf_kernel,
     weighted_mmd,
 )
 from .harness import (
@@ -44,7 +42,6 @@ from .learner import (
     TrainingError,
     WeightedTrainingView,
     empirical_risk,
-    logistic_loss,
     loss_gradients,
     predict_error,
     risk_gradient_wrt_weights,

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +26,6 @@ FLOAT_FORMAT = "%.17g"
 
 class DataError(ValueError):
     """Malformed dataset file or inconsistent dataset contents."""
-
-
-@dataclass(frozen=True)
-class LabeledInstance:
-    """One feature vector with its signed binary label."""
-
-    features: np.ndarray
-    label: int
 
 
 class Dataset:
@@ -78,9 +70,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.X.shape[0]
 
-    def __getitem__(self, i: int) -> LabeledInstance:
-        return LabeledInstance(self.X[i], int(self.y[i]))
-
     def subset(self, indices, role: str = "training_set") -> "Dataset":
         """Materialize the instances at `indices`, preserving their order."""
         idx = np.asarray(indices, dtype=np.int64)
@@ -115,12 +104,6 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def materialize(self, pool: Dataset, role: str = "training_set") -> Dataset:
-        return pool.subset(self.indices, role=role)
-
-    def with_cache(self, risk: float, psi: float) -> "CandidateSet":
-        return replace(self, cached_risk=float(risk), cached_psi=float(psi))
 
 
 def _child_seed(seed: int, index: int) -> int:
@@ -161,13 +144,25 @@ def _parse_label(raw, label_map, where: str) -> int:
         raise DataError(f"{where}: label {raw!r} not in label map")
     try:
         value = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DataError(
             f"{where}: non-numeric label {raw!r} requires a label map"
         ) from None
     if value not in (-1.0, 1.0):
         raise DataError(f"{where}: label must be -1 or +1, got {raw!r}")
     return int(value)
+
+
+def _parse_features(values: list, dim: int, where: str) -> list[float]:
+    if len(values) != dim:
+        raise DataError(f"{where}: expected {dim} features, got {len(values)}")
+    try:
+        feats = [float(v) for v in values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{where}: {exc}") from None
+    if not all(map(math.isfinite, feats)):
+        raise DataError(f"{where}: non-finite feature value")
+    return feats
 
 
 def _infer_format(path: Path, format: str | None) -> str:
@@ -199,12 +194,17 @@ def load_dataset(
     """
     path = Path(path)
     fmt = _infer_format(path, format)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path.name}: {exc}") from None
     rows: list[tuple[list[float], int]] = []
-    dim = None
 
     if fmt == "csv":
-        lines = [r for r in csv.reader(text.splitlines()) if r]
+        try:
+            lines = [r for r in csv.reader(text.splitlines()) if r]
+        except csv.Error as exc:
+            raise DataError(f"{path.name}: {exc}") from None
         if not lines:
             raise DataError(f"{path.name}: empty dataset")
         header = [h.strip() for h in lines[0]]
@@ -215,33 +215,25 @@ def load_dataset(
             raise DataError(f"{path.name}: no feature columns")
         for row_num, row in enumerate(lines[1:], start=1):
             where = f"{path.name} row {row_num}"
-            if len(row) - 1 != dim:
-                raise DataError(
-                    f"{where}: expected {dim} features, got {len(row) - 1}"
-                )
-            try:
-                feats = [float(v) for v in row[:-1]]
-            except ValueError as exc:
-                raise DataError(f"{where}: {exc}") from None
+            feats = _parse_features(row[:-1], dim, where)
             rows.append((feats, _parse_label(row[-1], label_map, where)))
     else:
+        dim = None
         for row_num, line in enumerate(
             (ln for ln in text.splitlines() if ln.strip()), start=1
         ):
             where = f"{path.name} row {row_num}"
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise DataError(f"{where}: {exc}") from None
-            if "features" not in obj or "label" not in obj:
+            if not (isinstance(obj, dict) and "features" in obj and "label" in obj):
                 raise DataError(f"{where}: need 'features' and 'label'")
-            feats = [float(v) for v in obj["features"]]
-            if dim is None:
-                dim = len(feats)
-            if len(feats) != dim:
-                raise DataError(
-                    f"{where}: expected {dim} features, got {len(feats)}"
-                )
+            values = obj["features"]
+            if not isinstance(values, list) or not values:
+                raise DataError(f"{where}: 'features' must be a non-empty list")
+            dim = len(values) if dim is None else dim
+            feats = _parse_features(values, dim, where)
             rows.append((feats, _parse_label(obj["label"], label_map, where)))
 
     if not rows:

@@ -28,6 +28,9 @@ from scipy.spatial.distance import cdist, pdist
 
 from .data import CandidateSet, Dataset
 
+# A subset passes the detector, psi < 0, when psi <= -FEASIBILITY_SLACK.
+FEASIBILITY_SLACK = 1e-9
+
 
 class DetectorError(ValueError):
     """Invalid detector configuration or degenerate inputs."""
@@ -37,14 +40,6 @@ def augment(X: np.ndarray, y: np.ndarray, c: float) -> np.ndarray:
     """Append the scaled label indicator c * 1{y = +1} as a coordinate."""
     col = np.where(np.asarray(y) == 1, float(c), 0.0)
     return np.hstack([np.asarray(X, dtype=np.float64), col[:, None]])
-
-
-def rbf_kernel(z1: np.ndarray, z2: np.ndarray, sigma: float) -> float:
-    """exp(-||z1 - z2||^2 / (2 sigma^2)) for a single pair of points."""
-    if sigma <= 0:
-        raise DetectorError("sigma must be positive")
-    diff = np.asarray(z1, dtype=np.float64) - np.asarray(z2, dtype=np.float64)
-    return float(math.exp(-float(diff @ diff) / (2.0 * sigma * sigma)))
 
 
 def _physical_memory() -> int:
@@ -203,7 +198,7 @@ def psi(pool: Dataset, candidate: CandidateSet, cfg: DetectorConfig) -> Detectio
     """Verdict on a candidate index subset of the pool."""
     if len(candidate) == 0:
         raise DetectorError("cannot test an empty candidate set")
-    return detect(pool, candidate.materialize(pool), cfg)
+    return detect(pool, pool.subset(candidate.indices), cfg)
 
 
 def weighted_mmd(pool_augmented: np.ndarray, b: np.ndarray, cfg: DetectorConfig) -> float:
@@ -286,7 +281,7 @@ class PoolKernel:
     def verdict_indices(self, indices) -> DetectionVerdict:
         return _verdict(self.mmd_indices(indices), self.threshold(len(indices)))
 
-    def feasible(self, indices, slack: float = 1e-9) -> bool:
+    def feasible(self, indices, slack: float = FEASIBILITY_SLACK) -> bool:
         """Strict inequality psi < 0, implemented as psi <= -slack."""
         return self.psi_indices(indices) <= -slack
 

@@ -212,8 +212,7 @@ def random_baseline(
         raise DataError("need at least one trial")
     errors = []
     for _ in range(trials):
-        cand = sample_subset(pool, m, rng)
-        sub = cand.materialize(pool)
+        sub = pool.subset(sample_subset(pool, m, rng).indices)
         theta = train(WeightedTrainingView(sub, np.ones(len(sub))), cfg)
         errors.append(predict_error(theta, secret_test))
     return float(np.mean(errors)), float(np.std(errors))
@@ -348,7 +347,7 @@ def run_experiment(
 
         stage = "evaluate"
         t0 = time.monotonic()
-        chosen = report.best.materialize(pool)
+        chosen = pool.subset(report.best.indices)
         theta = train(WeightedTrainingView(chosen, np.ones(len(chosen))), cfg.learner)
         solver_error = predict_error(theta, secret_test)
         secret_risk = empirical_risk(theta, secret_train)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import DataError, Dataset, LabeledInstance
+from .data import DataError, Dataset
 
 
 class TrainingError(RuntimeError):
@@ -88,18 +88,13 @@ class WeightedTrainingView:
         object.__setattr__(self, "weights", b)
 
 
-def logistic_loss(theta: ModelParams, instance: LabeledInstance) -> float:
-    """log(1 + exp(-y <theta, x>)), evaluated as logaddexp(0, -y<theta,x>)
-    so large margins of either sign stay finite."""
-    t = -instance.label * float(np.dot(theta.theta, instance.features))
-    return float(np.logaddexp(0.0, t))
-
-
 def _margins(theta_vec: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y * (X @ theta_vec)
 
 
 def instance_losses(theta: ModelParams, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-instance log(1 + exp(-y <theta, x>)), evaluated as
+    logaddexp(0, -y <theta, x>) so large margins of either sign stay finite."""
     return np.logaddexp(0.0, -_margins(theta.theta, X, y))
 
 
@@ -121,9 +116,9 @@ def training_objective(
     theta: ModelParams, view: WeightedTrainingView, cfg: LearnerConfig
 ) -> float:
     """Weighted loss sum plus ridge term (the quantity train() minimizes)."""
-    losses = instance_losses(theta, view.pool.X, view.pool.y)
-    reg = 0.5 * cfg.lam * float(np.dot(theta.theta, theta.theta))
-    return float(np.dot(view.weights, losses)) + reg
+    return _objective_raw(
+        theta.theta, view.pool.X, view.pool.y, view.weights, cfg.lam
+    )
 
 
 def _objective_raw(theta_vec, X, y, b, lam) -> float:
@@ -140,21 +135,17 @@ def stationarity_residual(
     return float(np.linalg.norm(g))
 
 
-def train(
-    view: WeightedTrainingView,
-    cfg: LearnerConfig,
-    theta0: np.ndarray | None = None,
-) -> ModelParams:
+def train(view: WeightedTrainingView, cfg: LearnerConfig) -> ModelParams:
     """Minimize the weighted regularized objective by damped Newton steps.
 
-    Starts from zero (or theta0), backtracks with an Armijo condition, and
+    Starts from zero, backtracks with an Armijo condition, and
     stops when the stationarity residual drops to cfg.tol. Raises
     TrainingError carrying the final residual if max_iter is exhausted.
     """
     X, y, b = view.pool.X, view.pool.y.astype(np.float64), view.weights
     lam = cfg.lam
     d = X.shape[1]
-    theta = np.zeros(d) if theta0 is None else np.array(theta0, dtype=np.float64)
+    theta = np.zeros(d)
     eye = np.eye(d)
 
     def probabilities(t):
@@ -217,9 +208,10 @@ def risk_gradient_wrt_weights(
     view: WeightedTrainingView,
     cfg: LearnerConfig,
     secret: Dataset,
-    theta: ModelParams | None = None,
+    theta: ModelParams,
 ) -> np.ndarray:
-    """Gradient of the secret-set risk of theta_hat(b) with respect to b.
+    """Gradient of the secret-set risk of theta_hat(b) with respect to b,
+    where theta = train(view, cfg) is the model trained on the view.
 
     Differentiates through the stationarity condition
     sum_i b_i grad_loss_i(theta_hat) + lam * theta_hat = 0: solve
@@ -227,8 +219,6 @@ def risk_gradient_wrt_weights(
     Hessian, then g_i = <u, grad_loss_i(theta_hat)>. Requires lam > 0 so
     the system is nonsingular.
     """
-    if theta is None:
-        theta = train(view, cfg)
     X, y, b = view.pool.X, view.pool.y.astype(np.float64), view.weights
     th = theta.theta
 

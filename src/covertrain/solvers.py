@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import CandidateSet, DataError, Dataset, RngState, sample_subset
-from .detector import DetectorConfig, PoolKernel
+from .detector import FEASIBILITY_SLACK, DetectorConfig, PoolKernel
 from .learner import (
     LearnerConfig,
     ModelParams,
@@ -28,8 +28,6 @@ from .learner import (
     stationarity_residual,
     train,
 )
-
-FEASIBILITY_SLACK = 1e-9
 
 # Fixed schedule of the relaxed solver: penalty rounds, projected-gradient
 # steps per round, the backtracking step size and its floor, and the
@@ -53,6 +51,12 @@ class SolverError(RuntimeError):
     pass
 
 
+def _check_wall_clock_limit(limit: float | None) -> None:
+    # `not limit >= 0` also rejects NaN, which would switch the limit off.
+    if limit is not None and not limit >= 0:
+        raise DataError(f"wall_clock_limit must be nonnegative, got {limit}")
+
+
 @dataclass(frozen=True)
 class SolverBudget:
     """Search budget. max_trainings is B, the number of learner trainings a
@@ -72,6 +76,7 @@ class SolverBudget:
             raise DataError("restarts and beam_width must be at least 1")
         if self.neighbors_per_state < 0:
             raise DataError("neighbors_per_state must be nonnegative")
+        _check_wall_clock_limit(self.wall_clock_limit)
 
     def per_restart(self, r: int) -> int:
         base = self.max_trainings // self.restarts
@@ -135,6 +140,9 @@ class NlpOptions:
     max_trainings: int | None = None
     wall_clock_limit: float | None = None
 
+    def __post_init__(self):
+        _check_wall_clock_limit(self.wall_clock_limit)
+
 
 class _Scorer:
     """One solver run's accounting. Trains the learner on pool subsets and
@@ -158,7 +166,7 @@ class _Scorer:
         self.trajectory: list[tuple[int, float]] = []
 
     def feasible(self, indices: tuple[int, ...]) -> bool:
-        if self.kernel.feasible(indices, FEASIBILITY_SLACK):
+        if self.kernel.feasible(indices):
             return True
         self.rejections += 1
         return False
@@ -215,9 +223,8 @@ def _finalize(
         raise SolverError(
             f"{name}: returned set fails the detector (psi={verdict.psi:.3e})"
         )
-    best = CandidateSet(scorer.best_idx).with_cache(scorer.best_risk, verdict.psi)
     return SolverReport(
-        best=best,
+        best=CandidateSet(scorer.best_idx, scorer.best_risk, verdict.psi),
         trainings_used=scorer.trainings,
         feasibility_rejections=scorer.rejections,
         trajectory=list(scorer.trajectory),
@@ -266,44 +273,38 @@ def solve_uniform(
 
 
 def neighbors(
-    state: CandidateSet,
-    pool: Dataset,
-    det: DetectorConfig,
-    count: int,
-    rng: RngState,
-    kernel: PoolKernel | None = None,
-) -> list[CandidateSet]:
-    """Sample up to `count` distinct feasible single-swap neighbors.
+    indices: tuple[int, ...], kernel: PoolKernel, count: int, rng: RngState
+) -> list[tuple[int, ...]]:
+    """Sample up to `count` distinct feasible single-swap neighbors of the
+    sorted pool subset `indices`.
 
     A neighbor exchanges one in-set index for one out-of-set index, both
     chosen uniformly. Infeasible or repeated proposals are discarded and
     redrawn, consuming no training budget, with total proposals capped at
     20 * count. May return fewer than `count` sets; returns none when the
-    state already covers the pool.
+    subset already covers the pool.
     """
-    n = len(pool)
-    idx = state.indices
-    m = len(idx)
+    n = kernel.n
+    m = len(indices)
     if m >= n or count <= 0:
         return []
-    kernel = kernel or PoolKernel(pool, det)
-    complement = np.setdiff1d(np.arange(n), np.asarray(idx, dtype=np.int64))
+    complement = np.setdiff1d(np.arange(n), np.asarray(indices, dtype=np.int64))
     gen = rng.generator
 
-    out: list[CandidateSet] = []
-    tried: set[tuple[int, ...]] = {idx}
+    out: list[tuple[int, ...]] = []
+    tried: set[tuple[int, ...]] = {indices}
     attempts = 0
     cap = NEIGHBOR_RETRY_FACTOR * count
     while len(out) < count and attempts < cap:
         attempts += 1
-        drop = idx[int(gen.integers(m))]
+        drop = indices[int(gen.integers(m))]
         add = int(complement[int(gen.integers(n - m))])
-        proposal = tuple(sorted(set(idx) - {drop} | {add}))
+        proposal = tuple(sorted(set(indices) - {drop} | {add}))
         if proposal in tried:
             continue
         tried.add(proposal)
-        if kernel.feasible(proposal, FEASIBILITY_SLACK):
-            out.append(CandidateSet(proposal))
+        if kernel.feasible(proposal):
+            out.append(proposal)
     return out
 
 
@@ -352,18 +353,12 @@ def solve_beam(
         beam = sorted((risk, idx) for idx, risk in evaluated.items())
 
         while not scorer.spent(budget_end):
-            fresh: list[tuple[int, ...]] = []
-            fresh_seen: set[tuple[int, ...]] = set()
+            # unevaluated neighbors in first-proposed order
+            fresh: dict[tuple[int, ...], None] = {}
             for _, idx in beam:
-                for nb in neighbors(
-                    CandidateSet(idx), pool, det, budget.neighbors_per_state,
-                    rng, kernel=kernel,
-                ):
-                    key = nb.indices
-                    if key in evaluated or key in fresh_seen:
-                        continue
-                    fresh_seen.add(key)
-                    fresh.append(key)
+                for nb in neighbors(idx, kernel, budget.neighbors_per_state, rng):
+                    if nb not in evaluated:
+                        fresh[nb] = None
             if not fresh:
                 break  # nothing new reachable from this beam
             union = list(beam)

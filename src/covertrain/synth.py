@@ -5,7 +5,7 @@ secret one. Desk-scale stand-in for large feature-extracted corpora."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class SyntheticSpec:
             raise DataError("need at least one test instance per class")
         if self.secret_std < 0 or self.cover_std < 0:
             raise DataError("blob std must be nonnegative")
-
-    def with_seed(self, seed: int) -> "SyntheticSpec":
-        return replace(self, seed=seed)
 
 
 def _direction(dim: int, angle: float) -> np.ndarray:

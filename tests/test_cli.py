@@ -41,7 +41,8 @@ class TestMmdTestCommand:
     def test_subset_verdict_json(self, tmp_path):
         invoke("synth", "--out", tmp_path, "--seed", 1)
         pool = load_dataset(tmp_path / "cover.csv")
-        cand = sample_subset(pool, 15, RngState(2)).materialize(pool, role="test_set")
+        idx = sample_subset(pool, 15, RngState(2)).indices
+        cand = pool.subset(idx, role="test_set")
         save_dataset(cand, tmp_path / "cand.csv")
         res = invoke("mmd-test", tmp_path / "cover.csv", tmp_path / "cand.csv")
         assert res.exit_code == 0, res.output

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertrain import (
     CandidateSet,
@@ -29,8 +31,8 @@ class TestDataset:
         ds = make_dataset([[1.0, 2.0], [3.0, 4.0]], [1, -1])
         assert len(ds) == 2
         assert ds.dimension == 2
-        assert ds[0].label == 1
-        assert np.array_equal(ds[1].features, [3.0, 4.0])
+        assert ds.y[0] == 1
+        assert np.array_equal(ds.X[1], [3.0, 4.0])
 
     def test_rejects_bad_labels(self):
         with pytest.raises(DataError, match="label"):
@@ -67,7 +69,7 @@ class TestCandidateSet:
             CandidateSet((5, 3))
 
     def test_cache_attachment(self):
-        c = CandidateSet((0, 2)).with_cache(0.5, -1.0)
+        c = CandidateSet((0, 2), cached_risk=0.5, cached_psi=-1.0)
         assert c.cached_risk == 0.5
         assert c.cached_psi == -1.0
         assert c.indices == (0, 2)
@@ -146,6 +148,94 @@ class TestLoadSave:
         ds = load_dataset(path, add_bias=True)
         assert ds.dimension == 2
         assert np.array_equal(ds.X[:, 1], [1.0, 1.0])
+
+    @pytest.mark.parametrize("row", [
+        "5",
+        '{"features": "12", "label": 1}',
+        '{"features": 3, "label": 1}',
+        '{"features": [[1]], "label": 1}',
+        '{"features": [null], "label": 1}',
+        '{"features": [], "label": 1}',
+        '{"features": [1%s], "label": 1}' % ("0" * 400),
+        '{"features": [1%s], "label": 1}' % ("0" * 5000),
+        '{"features": [1], "label": 1%s}' % ("0" * 400),
+        '{"features": [NaN], "label": 1}',
+        "[" * 100000,
+    ], ids=["number", "string", "scalar", "nested", "null", "empty",
+            "huge-feature", "long-integer", "huge-label", "nan", "deep-nesting"])
+    def test_jsonl_malformed_row_names_file_and_row(self, tmp_path, row):
+        path = tmp_path / "d.jsonl"
+        path.write_text(row + "\n")
+        with pytest.raises(DataError, match=r"^d\.jsonl row 1: "):
+            load_dataset(path)
+
+    def test_csv_non_finite_feature_names_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,label\n1,1\n1e999,-1\n")
+        with pytest.raises(DataError, match=r"^d\.csv row 2: non-finite"):
+            load_dataset(path)
+
+    def test_csv_oversized_field_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,label\n" + "1" * 200000 + ",1\n")
+        with pytest.raises(DataError, match=r"^d\.csv: "):
+            load_dataset(path)
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"f0,label\n\xff,1\n")
+        with pytest.raises(DataError, match=r"^d\.csv: "):
+            load_dataset(path)
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=4), inner, max_size=3
+    )
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    _json_containers,
+    max_leaves=6,
+)
+_JSONL_LINES = st.one_of(
+    st.text(max_size=12),
+    _JSON_VALUES.map(json.dumps),
+    st.fixed_dictionaries({
+        "features": st.lists(_JSON_VALUES, max_size=3) | _JSON_VALUES,
+        "label": st.sampled_from([1, -1]) | _JSON_VALUES,
+    }).map(json.dumps),
+)
+_CSV_CELLS = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(["1", "-1", "+1", "0.5", "nan", "inf", "1e999", "", '"']),
+    st.floats().map(repr),
+)
+_CSV_LINES = st.one_of(
+    st.text(max_size=12),
+    st.lists(_CSV_CELLS, max_size=4).map(",".join),
+    st.just("f0,label"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("d.csv"), st.lists(_CSV_LINES, max_size=5)),
+        st.tuples(st.just("d.jsonl"), st.lists(_JSONL_LINES, max_size=5)),
+    )
+)
+def test_any_text_loads_or_raises_data_error(tmp_path_factory, case):
+    """Whatever text a dataset file holds, loading it either succeeds or
+    raises DataError."""
+    name, lines = case
+    path = tmp_path_factory.mktemp("text") / name
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        load_dataset(path)
+    except DataError:
+        pass
 
 
 class TestSplit:

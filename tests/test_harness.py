@@ -62,7 +62,7 @@ class TestSelectCoverTask:
         pool = gaussian_task(7, 10)
 
         def fake_solve(pool_, secret_, m, cfg, det, budget, rng, **kw):
-            best = CandidateSet(tuple(range(m))).with_cache(0.5, -1.0)
+            best = CandidateSet(tuple(range(m)), cached_risk=0.5, cached_psi=-1.0)
             return SolverReport(best, budget.max_trainings, 0, [(1, 0.5)],
                                 "uniform", rng.seed)
 
@@ -247,6 +247,19 @@ class TestRunExperiment:
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         back = ExperimentConfig.from_json(cfg_path)
         assert back == cfg
+
+    @pytest.mark.parametrize("limit", ["NaN", "-1.0"])
+    def test_config_rejects_bad_wall_clock_limit(self, tmp_path, limit):
+        # json.loads parses NaN, which would switch the limit off
+        paths = {"secret": "s.csv", "cover": "c.csv", "secret_test": "t.csv"}
+        obj = base_config(tmp_path, paths).to_dict()
+        obj["budget"] = json.loads(
+            f'{{"max_trainings": 40, "wall_clock_limit": {limit}}}'
+        )
+        with pytest.raises(DataError, match="wall_clock_limit"):
+            ExperimentConfig.from_dict(obj)
+        obj["budget"]["wall_clock_limit"] = 0.0
+        assert ExperimentConfig.from_dict(obj).budget.wall_clock_limit == 0.0
 
     def test_config_validation(self):
         with pytest.raises(DataError):

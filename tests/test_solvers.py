@@ -10,6 +10,7 @@ import pytest
 import covertrain.solvers as solvers
 from covertrain import (
     CandidateSet,
+    DataError,
     DetectorConfig,
     acceptance_spec,
     generate,
@@ -145,31 +146,29 @@ class TestSolveUniform:
 class TestNeighbors:
     def test_full_pool_has_no_neighbors(self, learner_cfg):
         pool, _, det = brute_instance()
-        state = CandidateSet(tuple(range(len(pool))))
-        assert neighbors(state, pool, det, 5, RngState(0)) == []
+        kernel = PoolKernel(pool, det)
+        assert neighbors(tuple(range(len(pool))), kernel, 5, RngState(0)) == []
 
     def test_single_swap_structure(self):
         pool = gaussian_task(7, 2, separation=2.0)  # n = 4
-        det = DetectorConfig.from_pool(pool)
-        state = CandidateSet((0, 2))
-        for nb in neighbors(state, pool, det, 8, RngState(2)):
-            overlap = set(nb.indices) & set(state.indices)
-            assert len(nb.indices) == 2
+        kernel = PoolKernel(pool, DetectorConfig.from_pool(pool))
+        state = (0, 2)
+        for nb in neighbors(state, kernel, 8, RngState(2)):
+            overlap = set(nb) & set(state)
+            assert len(nb) == 2
             assert len(overlap) == 1
 
     def test_all_feasible_and_distinct(self):
         pool, _, det = brute_instance()
         kernel = PoolKernel(pool, det)
-        state = CandidateSet((0, 3, 5))
-        got = neighbors(state, pool, det, 10, RngState(4), kernel=kernel)
-        keys = [nb.indices for nb in got]
+        keys = neighbors((0, 3, 5), kernel, 10, RngState(4))
         assert len(set(keys)) == len(keys)
         for key in keys:
             assert kernel.psi_indices(key) < 0
 
     def test_respects_count(self):
         pool, _, det = brute_instance()
-        got = neighbors(CandidateSet((0, 1, 2)), pool, det, 3, RngState(6))
+        got = neighbors((0, 1, 2), PoolKernel(pool, det), 3, RngState(6))
         assert len(got) <= 3
 
 
@@ -288,8 +287,9 @@ class TestSolveRelaxed:
         secret = make_dataset([[4.0, 0.0], [-4.0, 0.0]], [1, -1], role="secret_set")
         det = DetectorConfig.from_pool(pool)
         b0 = np.array([1.0, 0.0, 0.0, 0.0])
+        view = WeightedTrainingView(pool, b0)
         g = risk_gradient_wrt_weights(
-            WeightedTrainingView(pool, b0), learner_cfg, secret
+            view, learner_cfg, secret, theta=train(view, learner_cfg)
         )
         assert g[0] == g.min()  # premise: seed is the corner minimizer
         sol = solve_relaxed(pool, secret, 1, learner_cfg, det, CandidateSet((0,)))
@@ -323,8 +323,9 @@ class TestSolveRelaxed:
             violation = max(kernel.weighted_psi(b, 5) + FEASIBILITY_SLACK, 0.0)
             return risk + violation * violation
 
+        view = WeightedTrainingView(pool, b0)
         grad = risk_gradient_wrt_weights(
-            WeightedTrainingView(pool, b0), learner_cfg, secret
+            view, learner_cfg, secret, theta=train(view, learner_cfg)
         )
         stepped = project_capped_simplex(b0 - 1e-2 * grad, 5.0)
         assert np.abs(stepped - b0).max() > 1e-6  # not already stationary
@@ -413,6 +414,12 @@ class TestSolveNlp:
         report = solve_nlp(pool, secret, 5, learner_cfg, det, seed_set,
                            NlpOptions(max_trainings=B))
         assert report.trainings_used <= B
+
+    def test_options_reject_bad_wall_clock_limit(self):
+        for limit in (float("nan"), -1.0):
+            with pytest.raises(DataError, match="wall_clock_limit"):
+                NlpOptions(wall_clock_limit=limit)
+        assert NlpOptions(wall_clock_limit=0.0).wall_clock_limit == 0.0
 
 
 def tightened_instance(seed=3, quantile=0.2, m=20, draws=200):

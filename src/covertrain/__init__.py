@@ -52,17 +52,14 @@ from .learner import (
 from .solvers import (
     FEASIBILITY_SLACK,
     NlpOptions,
-    RelaxedSolution,
     SolverBudget,
     SolverError,
     SolverReport,
     neighbors,
     project_capped_simplex,
-    round_relaxed,
     rounding_candidates,
     solve_beam,
     solve_nlp,
-    solve_relaxed,
     solve_uniform,
 )
 from .synth import SyntheticSpec, acceptance_spec, generate

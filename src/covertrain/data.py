@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,20 @@ FLOAT_FORMAT = "%.17g"
 
 class DataError(ValueError):
     """Malformed dataset file or inconsistent dataset contents."""
+
+
+def check_counts(obj, **minimums: int) -> None:
+    """Raise DataError unless each named field of `obj` is an integer of at
+    least its minimum: operator.index accepts it (numpy integers pass) and
+    it is not a bool."""
+    for name, least in minimums.items():
+        value = getattr(obj, name)
+        try:
+            ok = not isinstance(value, bool) and operator.index(value) >= least
+        except TypeError:
+            ok = False
+        if not ok:
+            raise DataError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class Dataset:
@@ -142,6 +157,8 @@ def _parse_label(raw, label_map, where: str) -> int:
                 )
             return value
         raise DataError(f"{where}: label {raw!r} not in label map")
+    if isinstance(raw, bool):
+        raise DataError(f"{where}: boolean label {raw!r} requires a label map")
     try:
         value = float(raw)
     except (TypeError, ValueError, OverflowError):
@@ -156,6 +173,8 @@ def _parse_label(raw, label_map, where: str) -> int:
 def _parse_features(values: list, dim: int, where: str) -> list[float]:
     if len(values) != dim:
         raise DataError(f"{where}: expected {dim} features, got {len(values)}")
+    if any(isinstance(v, bool) for v in values):
+        raise DataError(f"{where}: boolean feature value")
     try:
         feats = [float(v) for v in values]
     except (TypeError, ValueError, OverflowError) as exc:

@@ -20,6 +20,7 @@ from .data import (
     DataError,
     Dataset,
     RngState,
+    check_counts,
     load_dataset,
     sample_subset,
     split_train_test,
@@ -79,10 +80,9 @@ class ExperimentConfig:
             raise DataError("need at least one cover candidate")
         if (self.test_fraction is None) == (self.test_path is None):
             raise DataError("set exactly one of test_fraction / test_path")
-        if self.m < 1:
-            raise DataError("m must be at least 1")
-        if self.selection_budget < 1 or self.random_trials < 1:
-            raise DataError("budgets and trial counts must be positive")
+        check_counts(self, m=1, selection_budget=1, random_trials=1)
+        if not isinstance(self.add_bias, bool):
+            raise DataError(f"add_bias must be true or false, got {self.add_bias!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -108,19 +108,19 @@ class ExperimentConfig:
         return cls(
             secret_path=obj["secret"],
             cover_paths=tuple(obj["covers"]),
-            m=int(obj["m"]),
+            m=obj["m"],
             solver=obj["solver"],
             budget=SolverBudget(**obj["budget"]),
             learner=LearnerConfig(**obj.get("learner", {})),
             alpha=float(obj.get("alpha", 0.05)),
             test_fraction=obj.get("test_fraction"),
             test_path=obj.get("test"),
-            selection_budget=int(obj.get("selection_budget", 100)),
-            random_trials=int(obj.get("random_trials", 20)),
+            selection_budget=obj.get("selection_budget", 100),
+            random_trials=obj.get("random_trials", 20),
             seed=int(obj.get("seed", 0)),
             out_dir=obj.get("out_dir", "runs/out"),
             label_map=obj.get("label_map"),
-            add_bias=bool(obj.get("add_bias", False)),
+            add_bias=obj.get("add_bias", False),
         )
 
     @classmethod

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import DataError, Dataset
+from .data import DataError, Dataset, check_counts
 
 
 class TrainingError(RuntimeError):
@@ -58,8 +58,7 @@ class LearnerConfig:
             raise DataError("regularization weight lam must be positive")
         if not self.tol > 0:
             raise DataError("tol must be positive")
-        if self.max_iter < 1:
-            raise DataError("max_iter must be at least 1")
+        check_counts(self, max_iter=1)
 
     def to_dict(self) -> dict:
         return asdict(self)

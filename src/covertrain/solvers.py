@@ -4,6 +4,9 @@ All three solvers minimize the secret-set risk of the learner trained on an
 m-element pool subset, subject to the subset passing the detector
 (psi < 0). The training budget B counts learner trainings only; detector
 checks and rejected proposals are free but capped to prevent livelock.
+Each run holds its instance and accounting in one _Scorer; solve_nlp runs
+the relaxation and then the rounding sweep on it, reserving one training
+per rounding candidate so the sweep always fits the budget.
 
 Strict detector feasibility psi < 0 is implemented as psi <= -1e-9
 (FEASIBILITY_SLACK) for numerical stability.
@@ -13,11 +16,13 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import CandidateSet, DataError, Dataset, RngState, sample_subset
+from .data import (
+    CandidateSet, DataError, Dataset, RngState, check_counts, sample_subset,
+)
 from .detector import FEASIBILITY_SLACK, DetectorConfig, PoolKernel
 from .learner import (
     LearnerConfig,
@@ -70,12 +75,8 @@ class SolverBudget:
     wall_clock_limit: float | None = None
 
     def __post_init__(self):
-        if self.max_trainings < 1:
-            raise DataError("max_trainings must be at least 1")
-        if self.restarts < 1 or self.beam_width < 1:
-            raise DataError("restarts and beam_width must be at least 1")
-        if self.neighbors_per_state < 0:
-            raise DataError("neighbors_per_state must be nonnegative")
+        check_counts(self, max_trainings=1, restarts=1, beam_width=1,
+                     neighbors_per_state=0)
         _check_wall_clock_limit(self.wall_clock_limit)
 
     def per_restart(self, r: int) -> int:
@@ -141,22 +142,29 @@ class NlpOptions:
     wall_clock_limit: float | None = None
 
     def __post_init__(self):
+        if self.max_trainings is not None:
+            check_counts(self, max_trainings=1)
         _check_wall_clock_limit(self.wall_clock_limit)
 
 
 class _Scorer:
-    """One solver run's accounting. Trains the learner on pool subsets and
-    scores secret-set risk, charging one training per evaluation; audits
-    subsets against the detector, counting rejections; and holds the
-    wall-clock deadline. Keeps the lowest-risk subset scored so far and the
-    trajectory of (trainings, best risk) at each improvement."""
+    """One solver run: its instance (the pool's kernel is built from `det`
+    when none is given) and its accounting. Trains the learner on pool
+    m-subsets and scores secret-set risk, charging one training each; audits
+    subsets against the detector, counting rejections; holds the deadline.
+    Keeps the lowest-risk subset scored so far and the trajectory of
+    (trainings, best risk) at each improvement."""
 
-    def __init__(self, pool: Dataset, secret: Dataset, cfg: LearnerConfig,
-                 kernel: PoolKernel, wall_clock_limit: float | None = None):
+    def __init__(self, pool: Dataset, secret: Dataset, m: int, cfg: LearnerConfig,
+                 det: DetectorConfig, kernel: PoolKernel | None,
+                 wall_clock_limit: float | None):
+        if m < 1 or m > len(pool):
+            raise DataError(f"subset size {m} out of range for pool of {len(pool)}")
         self.pool = pool
         self.secret = secret
+        self.m = m
         self.cfg = cfg
-        self.kernel = kernel
+        self.kernel = kernel or PoolKernel(pool, det)
         self.start = time.monotonic()
         self.limit = wall_clock_limit
         self.trainings = 0
@@ -178,7 +186,7 @@ class _Scorer:
         """True once `cap` trainings are charged or the deadline has passed."""
         return (cap is not None and self.trainings >= cap) or self.expired()
 
-    def draw(self, m: int, rng: RngState, cap: int,
+    def draw(self, rng: RngState, cap: int,
              done: Callable[[], bool], scored: dict | None) -> int:
         """Score uniformly drawn feasible m-subsets until `done()` or `cap`
         draws; returns the number of draws. With `scored` a dict, subsets
@@ -186,7 +194,7 @@ class _Scorer:
         draws = 0
         while draws < cap and not done():
             draws += 1
-            idx = sample_subset(self.pool, m, rng).indices
+            idx = sample_subset(self.pool, self.m, rng).indices
             if not self.feasible(idx):
                 continue
             if scored is None:
@@ -252,14 +260,10 @@ def solve_uniform(
     capped at 10 * B; if no feasible subset has been found by then the
     feasible region is declared unreachable.
     """
-    if m < 1 or m > len(pool):
-        raise DataError(f"subset size {m} out of range for pool of {len(pool)}")
-    scorer = _Scorer(
-        pool, secret, cfg, kernel or PoolKernel(pool, det), budget.wall_clock_limit
-    )
+    scorer = _Scorer(pool, secret, m, cfg, det, kernel, budget.wall_clock_limit)
     B = budget.max_trainings
     draws = scorer.draw(
-        m, rng, DRAW_CAP_FACTOR * B, lambda: scorer.spent(B), {} if dedup else None
+        rng, DRAW_CAP_FACTOR * B, lambda: scorer.spent(B), {} if dedup else None
     )
     if scorer.best_idx is None:
         if scorer.expired():
@@ -325,10 +329,7 @@ def solve_beam(
     w lowest-risk states, until the restart's share of the training budget
     is spent. States already evaluated within a restart are never retrained.
     """
-    if m < 1 or m > len(pool):
-        raise DataError(f"subset size {m} out of range for pool of {len(pool)}")
-    kernel = kernel or PoolKernel(pool, det)
-    scorer = _Scorer(pool, secret, cfg, kernel, budget.wall_clock_limit)
+    scorer = _Scorer(pool, secret, m, cfg, det, kernel, budget.wall_clock_limit)
     w = budget.beam_width
     init_cap = DRAW_CAP_FACTOR * max(budget.max_trainings, w)
 
@@ -336,7 +337,7 @@ def solve_beam(
         budget_end = scorer.trainings + budget.per_restart(r)
         evaluated: dict[tuple[int, ...], float] = {}
         draws = scorer.draw(
-            m, rng, init_cap,
+            rng, init_cap,
             lambda: len(evaluated) >= w or scorer.spent(budget_end), evaluated,
         )
         if not evaluated:
@@ -356,7 +357,7 @@ def solve_beam(
             # unevaluated neighbors in first-proposed order
             fresh: dict[tuple[int, ...], None] = {}
             for _, idx in beam:
-                for nb in neighbors(idx, kernel, budget.neighbors_per_state, rng):
+                for nb in neighbors(idx, scorer.kernel, budget.neighbors_per_state, rng):
                     if nb not in evaluated:
                         fresh[nb] = None
             if not fresh:
@@ -400,14 +401,7 @@ def project_capped_simplex(v: np.ndarray, total: float) -> np.ndarray:
 
 
 def solve_relaxed(
-    pool: Dataset,
-    secret: Dataset,
-    m: int,
-    cfg: LearnerConfig,
-    det: DetectorConfig,
-    seed_set: CandidateSet,
-    opts: NlpOptions = NlpOptions(),
-    scorer: _Scorer | None = None,
+    scorer: _Scorer, seed_set: CandidateSet, cap: int | None = None
 ) -> RelaxedSolution:
     """Continuous relaxation: minimize secret risk of theta_hat(b) over
     membership weights b in [0,1]^n with sum(b) = m and weighted-MMD
@@ -417,23 +411,18 @@ def solve_relaxed(
     loop on the detector constraint; the sum constraint is enforced by
     projection and learner stationarity exactly, by retraining at every
     iterate. Descent contract: the returned b is never worse (in true
-    objective) than the feasible seed indicator it starts from. A given
-    `scorer` brings its own kernel and deadline; opts.max_trainings caps
-    the trainings it has charged.
+    objective) than the feasible seed indicator it starts from. Runs on the
+    scorer's instance and deadline; `cap` caps the trainings it has charged.
     """
-    n = len(pool)
+    pool, secret, m, cfg = scorer.pool, scorer.secret, scorer.m, scorer.cfg
+    kernel = scorer.kernel
     if len(seed_set) != m:
         raise DataError(f"seed set has {len(seed_set)} indices, expected {m}")
-    scorer = scorer or _Scorer(
-        pool, secret, cfg, PoolKernel(pool, det), opts.wall_clock_limit
-    )
-    kernel = scorer.kernel
-    cap = opts.max_trainings
 
     if not scorer.feasible(seed_set.indices):
         raise SolverError("seed set fails the detector")
 
-    b = np.zeros(n)
+    b = np.zeros(len(pool))
     b[list(seed_set.indices)] = 1.0
 
     risk, theta = scorer.risk_weighted(b)
@@ -480,15 +469,8 @@ def solve_relaxed(
             break
         rho = min(rho * PENALTY_GROWTH, PENALTY_MAX)
 
-    resid = stationarity_residual(
-        best_theta, WeightedTrainingView(pool, best_b), cfg
-    )
-    return RelaxedSolution(
-        b=best_b,
-        theta=best_theta,
-        stationarity_resid=resid,
-        psi_b=best_psi,
-    )
+    resid = stationarity_residual(best_theta, WeightedTrainingView(pool, best_b), cfg)
+    return RelaxedSolution(best_b, best_theta, resid, best_psi)
 
 
 def rounding_candidates(
@@ -516,37 +498,21 @@ def rounding_candidates(
 
 
 def round_relaxed(
-    sol: RelaxedSolution,
-    seed_set: CandidateSet,
-    pool: Dataset,
-    secret: Dataset,
-    m: int,
-    cfg: LearnerConfig,
-    det: DetectorConfig,
-    scorer: _Scorer | None = None,
-    max_trainings: int | None = None,
+    scorer: _Scorer, sol: RelaxedSolution, seed_set: CandidateSet
 ) -> SolverReport:
-    """Evaluate the swap-sequence candidates and return the best feasible one.
+    """Score every feasible swap-sequence candidate and report the best.
 
     The seed set is candidate 0 and is feasible by precondition, so the
-    result is never worse than the seed. A training cap cuts the candidate
-    sweep short but always admits the seed evaluation. The sweep ignores the
-    wall-clock limit.
+    result is never worse than the seed. The sweep checks neither the
+    wall-clock limit nor a training cap: solve_nlp reserves one training
+    per candidate, so the sweep always fits its budget.
     """
-    scorer = scorer or _Scorer(pool, secret, cfg, PoolKernel(pool, det))
-    candidates = rounding_candidates(sol.b, seed_set.indices, len(pool), m)
-
+    candidates = rounding_candidates(
+        sol.b, seed_set.indices, len(scorer.pool), scorer.m
+    )
     for idx in candidates:
-        out_of_budget = (
-            max_trainings is not None
-            and scorer.trainings >= max_trainings
-            and scorer.best_idx is not None
-        )
-        if out_of_budget:
-            break
-        if not scorer.feasible(idx):
-            continue
-        scorer.risk(idx)
+        if scorer.feasible(idx):
+            scorer.risk(idx)
     if scorer.best_idx is None:
         raise SolverError("no feasible rounding candidate (seed should be)")
     return _finalize(
@@ -565,39 +531,23 @@ def solve_nlp(
     opts: NlpOptions = NlpOptions(),
     kernel: PoolKernel | None = None,
 ) -> SolverReport:
-    """Continuous relaxation followed by swap rounding.
+    """Continuous relaxation followed by swap rounding, both on one scorer.
 
-    When opts.max_trainings is set, enough budget is reserved for the
-    rounding evaluations so total trainings never exceed it. The report
-    carries the relaxed-phase diagnostics.
+    When opts.max_trainings is set, one training per rounding candidate is
+    reserved, so the relaxation stops short of the cap and the rounding
+    sweep always fits it. The report carries the relaxed-phase diagnostics.
     """
-    if m < 1 or m > len(pool):
-        raise DataError(f"subset size {m} out of range for pool of {len(pool)}")
-    scorer = _Scorer(
-        pool, secret, cfg, kernel or PoolKernel(pool, det), opts.wall_clock_limit
-    )
-
-    rounding_reserve = min(m, len(pool) - m) + 1
-    relax_opts = opts
-    if opts.max_trainings is not None:
-        if opts.max_trainings < rounding_reserve + 1:
-            raise SolverError(
-                f"max_trainings={opts.max_trainings} cannot cover the relaxed "
-                f"phase plus {rounding_reserve} rounding evaluations"
-            )
-        relax_opts = replace(
-            opts, max_trainings=opts.max_trainings - rounding_reserve
+    scorer = _Scorer(pool, secret, m, cfg, det, kernel, opts.wall_clock_limit)
+    reserve = min(m, len(pool) - m) + 1  # = len(rounding_candidates(...))
+    cap = opts.max_trainings
+    if cap is not None and cap < reserve + 1:
+        raise SolverError(
+            f"max_trainings={cap} cannot cover the relaxed phase plus "
+            f"{reserve} rounding evaluations"
         )
-
-    sol = solve_relaxed(
-        pool, secret, m, cfg, det, seed_set,
-        opts=relax_opts, scorer=scorer,
-    )
+    sol = solve_relaxed(scorer, seed_set, None if cap is None else cap - reserve)
     relaxed_trainings = scorer.trainings
-    report = round_relaxed(
-        sol, seed_set, pool, secret, m, cfg, det,
-        scorer=scorer, max_trainings=opts.max_trainings,
-    )
+    report = round_relaxed(scorer, sol, seed_set)
     report.diagnostics.update(
         {
             "relaxed_trainings": relaxed_trainings,

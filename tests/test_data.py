@@ -161,8 +161,11 @@ class TestLoadSave:
         '{"features": [1], "label": 1%s}' % ("0" * 400),
         '{"features": [NaN], "label": 1}',
         "[" * 100000,
+        '{"features": [true, 2.0], "label": 1}',
+        '{"features": [1.0, 2.0], "label": true}',
     ], ids=["number", "string", "scalar", "nested", "null", "empty",
-            "huge-feature", "long-integer", "huge-label", "nan", "deep-nesting"])
+            "huge-feature", "long-integer", "huge-label", "nan", "deep-nesting",
+            "bool-feature", "bool-label"])
     def test_jsonl_malformed_row_names_file_and_row(self, tmp_path, row):
         path = tmp_path / "d.jsonl"
         path.write_text(row + "\n")

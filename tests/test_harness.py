@@ -7,6 +7,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import covertrain.harness as harness
@@ -260,6 +261,43 @@ class TestRunExperiment:
             ExperimentConfig.from_dict(obj)
         obj["budget"]["wall_clock_limit"] = 0.0
         assert ExperimentConfig.from_dict(obj).budget.wall_clock_limit == 0.0
+
+    @pytest.mark.parametrize("where, value", [
+        ("m", 20.7),
+        ("m", True),
+        ("m", 8.0),
+        ("selection_budget", 2.5),
+        ("random_trials", "5"),
+        ("budget.max_trainings", 2.5),
+        ("budget.max_trainings", 2.0),
+        ("budget.max_trainings", True),
+        ("budget.restarts", 2.5),
+        ("budget.beam_width", np.float64(3)),
+        ("budget.neighbors_per_state", False),
+        ("budget.neighbors_per_state", -1),
+        ("learner.max_iter", 2.5),
+        ("learner.max_iter", True),
+        ("add_bias", "false"),
+    ])
+    def test_config_rejects_non_integer_counts(self, tmp_path, where, value):
+        # counts and flags are taken as given, never truncated or coerced
+        paths = {"secret": "s.csv", "cover": "c.csv", "secret_test": "t.csv"}
+        obj = base_config(tmp_path, paths).to_dict()
+        *outer, key = where.split(".")
+        target = obj
+        for name in outer:
+            target = target[name]
+        target[key] = value
+        with pytest.raises(DataError, match=key):
+            ExperimentConfig.from_dict(obj)
+
+    def test_config_accepts_numpy_integers(self, tmp_path):
+        paths = {"secret": "s.csv", "cover": "c.csv", "secret_test": "t.csv"}
+        budget = SolverBudget(max_trainings=np.int64(40), restarts=np.int32(2),
+                              beam_width=np.int8(3), neighbors_per_state=np.uint8(4))
+        cfg = replace(base_config(tmp_path, paths), m=np.int64(8),
+                      budget=budget, learner=LearnerConfig(max_iter=np.int64(50)))
+        assert cfg.m == 8 and cfg.budget.per_restart(1) == 20
 
     def test_config_validation(self):
         with pytest.raises(DataError):

@@ -25,16 +25,14 @@ from covertrain import (
     neighbors,
     project_capped_simplex,
     risk_gradient_wrt_weights,
-    round_relaxed,
     rounding_candidates,
     sample_subset,
     solve_beam,
     solve_nlp,
-    solve_relaxed,
     solve_uniform,
     train,
 )
-from covertrain.solvers import FEASIBILITY_SLACK
+from covertrain.solvers import FEASIBILITY_SLACK, round_relaxed, solve_relaxed
 
 from conftest import exhaustive_best, gaussian_task, make_dataset, subset_risk
 
@@ -46,6 +44,12 @@ def brute_instance():
     secret = gaussian_task(103, 6, separation=4.0, std=1.0, role="secret_set")
     det = DetectorConfig.from_pool(pool)
     return pool, secret, det
+
+
+def scorer(pool, secret, m, cfg, det):
+    """A fresh solver run on the instance, with its own kernel and no
+    wall-clock limit."""
+    return solvers._Scorer(pool, secret, m, cfg, det, None, None)
 
 
 def strict_detector(pool, target_quantile=0.5, m=3):
@@ -292,7 +296,8 @@ class TestSolveRelaxed:
             view, learner_cfg, secret, theta=train(view, learner_cfg)
         )
         assert g[0] == g.min()  # premise: seed is the corner minimizer
-        sol = solve_relaxed(pool, secret, 1, learner_cfg, det, CandidateSet((0,)))
+        sol = solve_relaxed(scorer(pool, secret, 1, learner_cfg, det),
+                            CandidateSet((0,)))
         assert np.abs(sol.b - b0).max() <= 1e-6
 
     def test_descent_contract_and_invariants(self, learner_cfg):
@@ -300,7 +305,7 @@ class TestSolveRelaxed:
         rng = RngState(81)
         seed_set = sample_subset(pool, 5, rng)
         seed_risk = subset_risk(pool, seed_set.indices, secret, learner_cfg)
-        sol = solve_relaxed(pool, secret, 5, learner_cfg, det, seed_set)
+        sol = solve_relaxed(scorer(pool, secret, 5, learner_cfg, det), seed_set)
         view = WeightedTrainingView(pool, sol.b)
         returned_risk = empirical_risk(sol.theta, secret)
         assert returned_risk <= seed_risk + 1e-9
@@ -335,7 +340,7 @@ class TestSolveRelaxed:
         pool, secret, _ = relaxed_instance()
         det = unreachable_detector(pool)
         with pytest.raises(SolverError, match="seed"):
-            solve_relaxed(pool, secret, 5, learner_cfg, det,
+            solve_relaxed(scorer(pool, secret, 5, learner_cfg, det),
                           sample_subset(pool, 5, RngState(1)))
 
 
@@ -372,8 +377,9 @@ class TestRounding:
         pool, secret, det = relaxed_instance(seed=221)
         seed_set = sample_subset(pool, 5, RngState(93))
         seed_risk = subset_risk(pool, seed_set.indices, secret, learner_cfg)
-        sol = solve_relaxed(pool, secret, 5, learner_cfg, det, seed_set)
-        report = round_relaxed(sol, seed_set, pool, secret, 5, learner_cfg, det)
+        run = scorer(pool, secret, 5, learner_cfg, det)
+        sol = solve_relaxed(run, seed_set)
+        report = round_relaxed(run, sol, seed_set)
         assert report.best.cached_risk <= seed_risk + 1e-9
         assert report.best.cached_psi < 0
         assert len(report.diagnostics["candidates"]) == 6
@@ -414,6 +420,35 @@ class TestSolveNlp:
         report = solve_nlp(pool, secret, 5, learner_cfg, det, seed_set,
                            NlpOptions(max_trainings=B))
         assert report.trainings_used <= B
+
+    @pytest.mark.parametrize("instance", ["tightened", "brute"])
+    def test_rounding_sweep_fits_its_reserve(self, learner_cfg, instance):
+        # one training is reserved per rounding candidate, so every feasible
+        # candidate is scored and the total never exceeds the budget
+        if instance == "tightened":
+            pool, secret, det, seed_set = tightened_instance()
+        else:
+            pool, secret, det = brute_instance()
+            seed_set = sample_subset(pool, 3, RngState(95))
+        m = len(seed_set)
+        kernel = PoolKernel(pool, det)
+        reserve = min(m, len(pool) - m) + 1
+        for B in range(reserve + 1, reserve + 9):
+            report = solve_nlp(pool, secret, m, learner_cfg, det, seed_set,
+                               NlpOptions(max_trainings=B))
+            candidates = report.diagnostics["candidates"]
+            assert len(candidates) == reserve
+            scored = sum(kernel.feasible(tuple(c)) for c in candidates)
+            assert report.trainings_used <= B
+            assert (report.trainings_used
+                    == report.diagnostics["relaxed_trainings"] + scored)
+
+    @pytest.mark.parametrize("cap", [5.5, 6.0, True, 0])
+    def test_options_reject_non_integer_cap(self, cap):
+        # a fractional cap let the rounding sweep overrun it (6 trainings at 5.5)
+        with pytest.raises(DataError, match="max_trainings"):
+            NlpOptions(max_trainings=cap)
+        assert NlpOptions(max_trainings=np.int64(6)).max_trainings == 6
 
     def test_options_reject_bad_wall_clock_limit(self):
         for limit in (float("nan"), -1.0):
@@ -457,8 +492,8 @@ class TestPenaltyPath:
 
         monkeypatch.setattr(PoolKernel, "weighted_grad", counted)
         seed_risk = subset_risk(pool, seed_set.indices, secret, learner_cfg)
-        sol = solve_relaxed(pool, secret, 20, learner_cfg, det, seed_set,
-                            NlpOptions(max_trainings=100))
+        sol = solve_relaxed(scorer(pool, secret, 20, learner_cfg, det), seed_set,
+                            cap=100)
         assert calls  # some iterate violated the detector
         assert sol.psi_b <= -FEASIBILITY_SLACK
         assert abs(sol.b.sum() - 20) <= 1e-6

@@ -12,7 +12,7 @@ import click
 from .data import load_dataset, save_dataset
 from .detector import DetectorConfig, detect
 from .harness import ExperimentConfig, run_experiment, rerun_from_manifest
-from .synth import SyntheticSpec, acceptance_spec, generate
+from .synth import SyntheticSpec, generate
 
 
 @click.group()
@@ -59,36 +59,25 @@ def mmd_test_cmd(pool_path, candidate_path, alpha, label_map_json):
     sys.exit(1 if verdict.suspicious else 0)
 
 
+_SPEC = SyntheticSpec()
+
+
 @main.command("synth")
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True)
-@click.option("--dim", default=2, show_default=True)
-@click.option("--secret-separation", default=6.0, show_default=True)
-@click.option("--secret-std", default=1.0, show_default=True)
-@click.option("--secret-count", default=80, show_default=True)
-@click.option("--secret-test-count", default=100, show_default=True)
-@click.option("--cover-separation", default=5.0, show_default=True)
-@click.option("--cover-std", default=1.3, show_default=True)
-@click.option("--cover-count", default=100, show_default=True)
-@click.option("--angle", default=None, type=float,
-              help="Radians between the two separating directions (default pi/2).")
-def synth_cmd(out_dir, seed, dim, secret_separation, secret_std, secret_count,
-              secret_test_count, cover_separation, cover_std, cover_count, angle):
+@click.option("--seed", default=_SPEC.seed, show_default=True)
+@click.option("--dim", default=_SPEC.dim, show_default=True)
+@click.option("--secret-separation", default=_SPEC.secret_separation, show_default=True)
+@click.option("--secret-std", default=_SPEC.secret_std, show_default=True)
+@click.option("--secret-count", default=_SPEC.secret_count, show_default=True)
+@click.option("--secret-test-count", default=_SPEC.secret_test_count, show_default=True)
+@click.option("--cover-separation", default=_SPEC.cover_separation, show_default=True)
+@click.option("--cover-std", default=_SPEC.cover_std, show_default=True)
+@click.option("--cover-count", default=_SPEC.cover_count, show_default=True)
+@click.option("--angle", default=_SPEC.angle, show_default=True,
+              help="Radians between the two separating directions.")
+def synth_cmd(out_dir, **spec):
     """Emit secret.csv, cover.csv and secret_test.csv for a synthetic task pair."""
-    base = acceptance_spec(seed)
-    spec = SyntheticSpec(
-        dim=dim,
-        secret_separation=secret_separation,
-        secret_std=secret_std,
-        secret_count=secret_count,
-        secret_test_count=secret_test_count,
-        cover_separation=cover_separation,
-        cover_std=cover_std,
-        cover_count=cover_count,
-        angle=base.angle if angle is None else angle,
-        seed=seed,
-    )
-    secret, cover, secret_test = generate(spec)
+    secret, cover, secret_test = generate(SyntheticSpec(**spec))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(secret, out / "secret.csv")

@@ -9,8 +9,9 @@ the manifest so result.json is byte-reproducible.
 from __future__ import annotations
 
 import json
+import numbers
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ from .learner import (
     train,
 )
 from .solvers import (
-    NlpOptions,
     SolverBudget,
     SolverError,
     SolverReport,
@@ -44,6 +44,9 @@ from .solvers import (
 )
 
 SOLVERS = ("uniform", "beam", "nlp")
+
+# Config-file keys that differ from their ExperimentConfig field names.
+_CONFIG_KEYS = {"secret_path": "secret", "cover_paths": "covers", "test_path": "test"}
 
 
 class StageError(RuntimeError):
@@ -64,7 +67,7 @@ class ExperimentConfig:
     budget: SolverBudget
     learner: LearnerConfig = LearnerConfig()
     alpha: float = 0.05
-    test_fraction: float | None = 0.75
+    test_fraction: float | None = None
     test_path: str | None = None
     selection_budget: int = 100
     random_trials: int = 20
@@ -81,51 +84,44 @@ class ExperimentConfig:
         if (self.test_fraction is None) == (self.test_path is None):
             raise DataError("set exactly one of test_fraction / test_path")
         check_counts(self, m=1, selection_budget=1, random_trials=1)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise DataError(f"seed must be an integer, got {self.seed!r}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise DataError(f"alpha must be a number, got {self.alpha!r}")
         if not isinstance(self.add_bias, bool):
             raise DataError(f"add_bias must be true or false, got {self.add_bias!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "secret": self.secret_path,
-            "covers": list(self.cover_paths),
-            "m": self.m,
-            "solver": self.solver,
-            "budget": self.budget.to_dict(),
-            "learner": self.learner.to_dict(),
-            "alpha": self.alpha,
-            "test_fraction": self.test_fraction,
-            "test": self.test_path,
-            "selection_budget": self.selection_budget,
-            "random_trials": self.random_trials,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "label_map": self.label_map,
-            "add_bias": self.add_bias,
-        }
+        return {_CONFIG_KEYS.get(k, k): v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        return cls(
-            secret_path=obj["secret"],
-            cover_paths=tuple(obj["covers"]),
-            m=obj["m"],
-            solver=obj["solver"],
-            budget=SolverBudget(**obj["budget"]),
-            learner=LearnerConfig(**obj.get("learner", {})),
-            alpha=float(obj.get("alpha", 0.05)),
-            test_fraction=obj.get("test_fraction"),
-            test_path=obj.get("test"),
-            selection_budget=obj.get("selection_budget", 100),
-            random_trials=obj.get("random_trials", 20),
-            seed=int(obj.get("seed", 0)),
-            out_dir=obj.get("out_dir", "runs/out"),
-            label_map=obj.get("label_map"),
-            add_bias=obj.get("add_bias", False),
-        )
+        kwargs = _fields_from(cls, obj, _CONFIG_KEYS)
+        kwargs["cover_paths"] = tuple(kwargs["cover_paths"])
+        kwargs["budget"] = SolverBudget(**_fields_from(SolverBudget, kwargs["budget"], {}))
+        if "learner" in kwargs:
+            kwargs["learner"] = LearnerConfig(
+                **_fields_from(LearnerConfig, kwargs["learner"], {}))
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def _fields_from(cls, obj, keys: dict) -> dict:
+    """Constructor arguments of dataclass `cls` from the mapping `obj`, whose
+    keys are the field names or their renames in `keys`. Raises DataError
+    naming every unknown key and every missing required key."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{cls.__name__} config must be an object, got {obj!r}")
+    names = {keys.get(f.name, f.name): f for f in fields(cls)}
+    faults = [f"unknown key {k!r}" for k in obj if k not in names]
+    faults += [f"missing key {k!r}" for k, f in names.items() if k not in obj
+               and f.default is MISSING and f.default_factory is MISSING]
+    if faults:
+        raise DataError(f"{cls.__name__} config: " + ", ".join(faults))
+    return {names[k].name: v for k, v in obj.items()}
 
 
 @dataclass(frozen=True)
@@ -314,26 +310,13 @@ def run_experiment(
 
         stage = "solve"
         t0 = time.monotonic()
-        solver_rng = rng.child(2)
-        if cfg.solver == "uniform":
-            report = solve_uniform(
-                pool, secret_train, cfg.m, cfg.learner, det, cfg.budget,
-                solver_rng, kernel=kernel,
-            )
-        elif cfg.solver == "beam":
-            report = solve_beam(
-                pool, secret_train, cfg.m, cfg.learner, det, cfg.budget,
-                solver_rng, kernel=kernel,
-            )
+        problem = (pool, secret_train, cfg.m, cfg.learner, det)
+        if cfg.solver == "nlp":
+            report = solve_nlp(*problem, seed_set, cfg.budget, kernel=kernel)
         else:
-            opts = NlpOptions(
-                max_trainings=cfg.budget.max_trainings,
-                wall_clock_limit=cfg.budget.wall_clock_limit,
-            )
-            report = solve_nlp(
-                pool, secret_train, cfg.m, cfg.learner, det, seed_set, opts,
-                kernel=kernel,
-            )
+            # looked up at call time, so the module's names can be wrapped
+            solve = solve_uniform if cfg.solver == "uniform" else solve_beam
+            report = solve(*problem, cfg.budget, rng.child(2), kernel=kernel)
         manifest["stages"]["solve"] = report.to_dict()
         manifest["timings"]["solve"] = time.monotonic() - t0
 

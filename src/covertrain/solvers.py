@@ -4,9 +4,11 @@ All three solvers minimize the secret-set risk of the learner trained on an
 m-element pool subset, subject to the subset passing the detector
 (psi < 0). The training budget B counts learner trainings only; detector
 checks and rejected proposals are free but capped to prevent livelock.
-Each run holds its instance and accounting in one _Scorer; solve_nlp runs
-the relaxation and then the rounding sweep on it, reserving one training
-per rounding candidate so the sweep always fits the budget.
+All three take the run's SolverBudget (NlpOptions is another name for it;
+solve_nlp reads only its two limits). Each run holds its instance and
+accounting in one _Scorer; solve_nlp runs the relaxation and then the
+rounding sweep on it, reserving one training per rounding candidate so the
+sweep always fits the budget.
 
 Strict detector feasibility psi < 0 is implemented as psi <= -1e-9
 (FEASIBILITY_SLACK) for numerical stability.
@@ -56,12 +58,6 @@ class SolverError(RuntimeError):
     pass
 
 
-def _check_wall_clock_limit(limit: float | None) -> None:
-    # `not limit >= 0` also rejects NaN, which would switch the limit off.
-    if limit is not None and not limit >= 0:
-        raise DataError(f"wall_clock_limit must be nonnegative, got {limit}")
-
-
 @dataclass(frozen=True)
 class SolverBudget:
     """Search budget. max_trainings is B, the number of learner trainings a
@@ -77,7 +73,10 @@ class SolverBudget:
     def __post_init__(self):
         check_counts(self, max_trainings=1, restarts=1, beam_width=1,
                      neighbors_per_state=0)
-        _check_wall_clock_limit(self.wall_clock_limit)
+        # `not limit >= 0` also rejects NaN, which would switch the limit off.
+        limit = self.wall_clock_limit
+        if limit is not None and not limit >= 0:
+            raise DataError(f"wall_clock_limit must be nonnegative, got {limit}")
 
     def per_restart(self, r: int) -> int:
         base = self.max_trainings // self.restarts
@@ -132,19 +131,7 @@ class RelaxedSolution:
     psi_b: float
 
 
-@dataclass(frozen=True)
-class NlpOptions:
-    """Limits of the relaxation solver: a cap on learner trainings and a
-    wall-clock limit in seconds. Its schedule is fixed (OUTER_ROUNDS and the
-    constants beside it)."""
-
-    max_trainings: int | None = None
-    wall_clock_limit: float | None = None
-
-    def __post_init__(self):
-        if self.max_trainings is not None:
-            check_counts(self, max_trainings=1)
-        _check_wall_clock_limit(self.wall_clock_limit)
+NlpOptions = SolverBudget  # solve_nlp reads only the two limits
 
 
 class _Scorer:
@@ -182,9 +169,9 @@ class _Scorer:
     def expired(self) -> bool:
         return self.limit is not None and time.monotonic() - self.start >= self.limit
 
-    def spent(self, cap: int | None) -> bool:
+    def spent(self, cap: int) -> bool:
         """True once `cap` trainings are charged or the deadline has passed."""
-        return (cap is not None and self.trainings >= cap) or self.expired()
+        return self.trainings >= cap or self.expired()
 
     def draw(self, rng: RngState, cap: int,
              done: Callable[[], bool], scored: dict | None) -> int:
@@ -401,7 +388,7 @@ def project_capped_simplex(v: np.ndarray, total: float) -> np.ndarray:
 
 
 def solve_relaxed(
-    scorer: _Scorer, seed_set: CandidateSet, cap: int | None = None
+    scorer: _Scorer, seed_set: CandidateSet, cap: int
 ) -> RelaxedSolution:
     """Continuous relaxation: minimize secret risk of theta_hat(b) over
     membership weights b in [0,1]^n with sum(b) = m and weighted-MMD
@@ -528,24 +515,25 @@ def solve_nlp(
     cfg: LearnerConfig,
     det: DetectorConfig,
     seed_set: CandidateSet,
-    opts: NlpOptions = NlpOptions(),
+    budget: SolverBudget,
     kernel: PoolKernel | None = None,
 ) -> SolverReport:
     """Continuous relaxation followed by swap rounding, both on one scorer.
 
-    When opts.max_trainings is set, one training per rounding candidate is
-    reserved, so the relaxation stops short of the cap and the rounding
-    sweep always fits it. The report carries the relaxed-phase diagnostics.
+    Reads budget.max_trainings and budget.wall_clock_limit. One training per
+    rounding candidate is reserved, so the relaxation stops short of the cap
+    and the rounding sweep always fits it. The report carries the
+    relaxed-phase diagnostics.
     """
-    scorer = _Scorer(pool, secret, m, cfg, det, kernel, opts.wall_clock_limit)
+    scorer = _Scorer(pool, secret, m, cfg, det, kernel, budget.wall_clock_limit)
     reserve = min(m, len(pool) - m) + 1  # = len(rounding_candidates(...))
-    cap = opts.max_trainings
-    if cap is not None and cap < reserve + 1:
+    cap = budget.max_trainings
+    if cap < reserve + 1:
         raise SolverError(
             f"max_trainings={cap} cannot cover the relaxed phase plus "
             f"{reserve} rounding evaluations"
         )
-    sol = solve_relaxed(scorer, seed_set, None if cap is None else cap - reserve)
+    sol = solve_relaxed(scorer, seed_set, cap - reserve)
     relaxed_trainings = scorer.trainings
     report = round_relaxed(scorer, sol, seed_set)
     report.diagnostics.update(

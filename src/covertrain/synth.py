@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset, RngState
+from .data import DataError, Dataset, RngState, check_counts
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1 or (self.dim < 2 and self.angle % math.pi != 0.0):
+        check_counts(self, dim=1, secret_count=2, secret_test_count=1, cover_count=2)
+        if self.dim < 2 and self.angle % math.pi != 0.0:
             raise DataError("rotation needs at least two dimensions")
-        if self.secret_count < 2 or self.cover_count < 2:
-            raise DataError("need at least two instances per class")
-        if self.secret_test_count < 1:
-            raise DataError("need at least one test instance per class")
         if self.secret_std < 0 or self.cover_std < 0:
             raise DataError("blob std must be nonnegative")
 

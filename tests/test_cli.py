@@ -7,7 +7,9 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from covertrain import load_dataset, sample_subset, save_dataset, RngState
+from covertrain import (
+    RngState, SyntheticSpec, generate, load_dataset, sample_subset, save_dataset,
+)
 from covertrain.cli import main
 
 from test_harness import base_config, write_task_files
@@ -35,6 +37,15 @@ class TestSynthCommand:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_defaults_are_the_spec_defaults(self, tmp_path):
+        # options left out take SyntheticSpec's defaults
+        res = invoke("synth", "--out", tmp_path / "cli", "--seed", 3, "--dim", 3)
+        assert res.exit_code == 0, res.output
+        expected = generate(SyntheticSpec(seed=3, dim=3))
+        for name, ds in zip(("secret.csv", "cover.csv", "secret_test.csv"), expected):
+            save_dataset(ds, tmp_path / name)
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 class TestMmdTestCommand:

@@ -156,6 +156,18 @@ def base_config(tmp_path, paths, solver="uniform", seed=7):
     )
 
 
+def config_entry(tmp_path, where):
+    """The base config as a dict, with the dict and key that `where` names
+    in it ("m", or "budget.restarts" for a key of the budget)."""
+    paths = {"secret": "s.csv", "cover": "c.csv", "secret_test": "t.csv"}
+    obj = base_config(tmp_path, paths).to_dict()
+    *outer, key = where.split(".")
+    target = obj
+    for name in outer:
+        target = target[name]
+    return obj, target, key
+
+
 class TestRunExperiment:
     @pytest.mark.parametrize("solver", ["uniform", "beam", "nlp"])
     def test_end_to_end_each_solver(self, tmp_path, solver):
@@ -278,26 +290,67 @@ class TestRunExperiment:
         ("learner.max_iter", 2.5),
         ("learner.max_iter", True),
         ("add_bias", "false"),
+        ("seed", 7.9),
+        ("seed", True),
+        ("seed", "7"),
+        ("alpha", "0.05"),
+        ("alpha", True),
     ])
     def test_config_rejects_non_integer_counts(self, tmp_path, where, value):
-        # counts and flags are taken as given, never truncated or coerced
-        paths = {"secret": "s.csv", "cover": "c.csv", "secret_test": "t.csv"}
-        obj = base_config(tmp_path, paths).to_dict()
-        *outer, key = where.split(".")
-        target = obj
-        for name in outer:
-            target = target[name]
+        # counts, seed, alpha and flags are taken as given, never truncated
+        # or coerced (seed 7.9 ran as seed 7)
+        obj, target, key = config_entry(tmp_path, where)
         target[key] = value
         with pytest.raises(DataError, match=key):
             ExperimentConfig.from_dict(obj)
+
+    @pytest.mark.parametrize("where, fault", [
+        ("selection_budegt", "unknown"),
+        ("budget.restart", "unknown"),
+        ("learner.lambda", "unknown"),
+        ("secret", "missing"),
+        ("covers", "missing"),
+        ("m", "missing"),
+        ("solver", "missing"),
+        ("budget", "missing"),
+        ("budget.max_trainings", "missing"),
+    ])
+    def test_config_rejects_unknown_and_missing_keys(self, tmp_path, where, fault):
+        # a misspelt key ran with the default, a missing one raised KeyError
+        obj, target, key = config_entry(tmp_path, where)
+        if fault == "unknown":
+            target[key] = 10
+        else:
+            del target[key]
+        with pytest.raises(DataError, match=f"{fault} key '{key}'"):
+            ExperimentConfig.from_dict(obj)
+
+    def test_config_needs_a_test_set(self, tmp_path):
+        # one default for both entry points: neither `test` nor
+        # `test_fraction` is an error, from Python and from a file
+        paths = {"secret": "s.csv", "cover": "c.csv", "secret_test": "t.csv"}
+        with pytest.raises(DataError, match="test_fraction"):
+            ExperimentConfig(secret_path="s.csv", cover_paths=("c.csv",), m=8,
+                             solver="uniform", budget=SolverBudget(max_trainings=40))
+        obj = base_config(tmp_path, paths).to_dict()
+        del obj["test"], obj["test_fraction"]
+        with pytest.raises(DataError, match="test_fraction"):
+            ExperimentConfig.from_dict(obj)
+        obj["test_fraction"] = 0.75
+        assert ExperimentConfig.from_dict(obj).test_fraction == 0.75
 
     def test_config_accepts_numpy_integers(self, tmp_path):
         paths = {"secret": "s.csv", "cover": "c.csv", "secret_test": "t.csv"}
         budget = SolverBudget(max_trainings=np.int64(40), restarts=np.int32(2),
                               beam_width=np.int8(3), neighbors_per_state=np.uint8(4))
         cfg = replace(base_config(tmp_path, paths), m=np.int64(8),
-                      budget=budget, learner=LearnerConfig(max_iter=np.int64(50)))
+                      budget=budget, learner=LearnerConfig(max_iter=np.int64(50)),
+                      seed=np.int64(-3), alpha=np.float64(0.1))
         assert cfg.m == 8 and cfg.budget.per_restart(1) == 20
+        assert cfg.seed == -3  # negative seeds stay valid, in a file too
+        obj = base_config(tmp_path, paths).to_dict()
+        obj.update(seed=-3, alpha=1)
+        assert ExperimentConfig.from_dict(obj).seed == -3
 
     def test_config_validation(self):
         with pytest.raises(DataError):

@@ -46,6 +46,11 @@ def brute_instance():
     return pool, secret, det
 
 
+# A training cap the fixed relaxation schedule cannot reach, for runs that
+# should stop on their own.
+NO_CAP = 10**6
+
+
 def scorer(pool, secret, m, cfg, det):
     """A fresh solver run on the instance, with its own kernel and no
     wall-clock limit."""
@@ -297,7 +302,7 @@ class TestSolveRelaxed:
         )
         assert g[0] == g.min()  # premise: seed is the corner minimizer
         sol = solve_relaxed(scorer(pool, secret, 1, learner_cfg, det),
-                            CandidateSet((0,)))
+                            CandidateSet((0,)), NO_CAP)
         assert np.abs(sol.b - b0).max() <= 1e-6
 
     def test_descent_contract_and_invariants(self, learner_cfg):
@@ -305,7 +310,8 @@ class TestSolveRelaxed:
         rng = RngState(81)
         seed_set = sample_subset(pool, 5, rng)
         seed_risk = subset_risk(pool, seed_set.indices, secret, learner_cfg)
-        sol = solve_relaxed(scorer(pool, secret, 5, learner_cfg, det), seed_set)
+        sol = solve_relaxed(scorer(pool, secret, 5, learner_cfg, det), seed_set,
+                            NO_CAP)
         view = WeightedTrainingView(pool, sol.b)
         returned_risk = empirical_risk(sol.theta, secret)
         assert returned_risk <= seed_risk + 1e-9
@@ -341,7 +347,7 @@ class TestSolveRelaxed:
         det = unreachable_detector(pool)
         with pytest.raises(SolverError, match="seed"):
             solve_relaxed(scorer(pool, secret, 5, learner_cfg, det),
-                          sample_subset(pool, 5, RngState(1)))
+                          sample_subset(pool, 5, RngState(1)), NO_CAP)
 
 
 class TestRounding:
@@ -378,7 +384,7 @@ class TestRounding:
         seed_set = sample_subset(pool, 5, RngState(93))
         seed_risk = subset_risk(pool, seed_set.indices, secret, learner_cfg)
         run = scorer(pool, secret, 5, learner_cfg, det)
-        sol = solve_relaxed(run, seed_set)
+        sol = solve_relaxed(run, seed_set, NO_CAP)
         report = round_relaxed(run, sol, seed_set)
         assert report.best.cached_risk <= seed_risk + 1e-9
         assert report.best.cached_psi < 0
@@ -402,8 +408,9 @@ class TestSolveNlp:
     def test_deterministic(self, learner_cfg):
         pool, secret, det = relaxed_instance(seed=231)
         seed_set = sample_subset(pool, 5, RngState(97))
-        r1 = solve_nlp(pool, secret, 5, learner_cfg, det, seed_set)
-        r2 = solve_nlp(pool, secret, 5, learner_cfg, det, seed_set)
+        budget = SolverBudget(max_trainings=NO_CAP)
+        r1 = solve_nlp(pool, secret, 5, learner_cfg, det, seed_set, budget)
+        r2 = solve_nlp(pool, secret, 5, learner_cfg, det, seed_set, budget)
         assert r1.to_dict() == r2.to_dict()
 
     def test_budget_too_small_for_rounding(self, learner_cfg):
@@ -453,8 +460,8 @@ class TestSolveNlp:
     def test_options_reject_bad_wall_clock_limit(self):
         for limit in (float("nan"), -1.0):
             with pytest.raises(DataError, match="wall_clock_limit"):
-                NlpOptions(wall_clock_limit=limit)
-        assert NlpOptions(wall_clock_limit=0.0).wall_clock_limit == 0.0
+                NlpOptions(max_trainings=1, wall_clock_limit=limit)
+        assert NlpOptions(max_trainings=1, wall_clock_limit=0.0).wall_clock_limit == 0.0
 
 
 def tightened_instance(seed=3, quantile=0.2, m=20, draws=200):

@@ -79,6 +79,19 @@ class TestGenerate:
         with pytest.raises(DataError):
             SyntheticSpec(dim=1, angle=math.pi / 2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("secret_count", 2.5),
+        ("dim", 2.0),
+        ("secret_test_count", "3"),
+        ("cover_count", True),
+        ("secret_count", 1),
+        ("secret_test_count", 0),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(DataError, match=field):
+            SyntheticSpec(**{field: value})
+        assert getattr(SyntheticSpec(**{field: np.int64(3)}), field) == 3
+
 
 class TestConfusabilityKnob:
     def test_overlap_never_hurts_best_achievable_risk(self, learner_cfg):

@@ -47,7 +47,6 @@ from .learner import (
     risk_gradient_wrt_weights,
     stationarity_residual,
     train,
-    training_objective,
 )
 from .solvers import (
     FEASIBILITY_SLACK,

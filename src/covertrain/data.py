@@ -14,7 +14,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,14 @@ def check_counts(obj, **minimums: int) -> None:
             ok = False
         if not ok:
             raise DataError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def plain_numbers(obj) -> None:
+    """Turn numpy scalar fields into Python scalars, which JSON can encode."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.generic):
+            object.__setattr__(obj, f.name, value.item())
 
 
 class Dataset:
@@ -184,22 +192,17 @@ def _parse_features(values: list, dim: int, where: str) -> list[float]:
     return feats
 
 
-def _infer_format(path: Path, format: str | None) -> str:
-    if format is not None:
-        if format not in ("csv", "jsonl"):
-            raise DataError(f"unknown format {format!r}")
-        return format
+def _infer_format(path: Path) -> str:
     suffix = path.suffix.lower()
     if suffix == ".csv":
         return "csv"
     if suffix in (".jsonl", ".ndjson"):
         return "jsonl"
-    raise DataError(f"cannot infer format from {path.name!r}; pass format=")
+    raise DataError(f"cannot infer format from {path.name!r}")
 
 
 def load_dataset(
     path,
-    format: str | None = None,
     label_map: dict | None = None,
     role: str = "camouflage_pool",
     add_bias: bool = False,
@@ -212,7 +215,7 @@ def load_dataset(
     feature to every instance.
     """
     path = Path(path)
-    fmt = _infer_format(path, format)
+    fmt = _infer_format(path)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -264,10 +267,10 @@ def load_dataset(
     return Dataset(X, y, role=role)
 
 
-def save_dataset(data: Dataset, path, format: str | None = None) -> None:
+def save_dataset(data: Dataset, path) -> None:
     """Write a dataset so that load_dataset reproduces it bit-exactly."""
     path = Path(path)
-    fmt = _infer_format(path, format)
+    fmt = _infer_format(path)
     if fmt == "csv":
         lines = [",".join([f"f{j}" for j in range(data.dimension)] + ["label"])]
         for i in range(len(data)):
@@ -315,4 +318,4 @@ def sample_subset(pool: Dataset, m: int, rng: RngState) -> CandidateSet:
     if m < 0 or m > n:
         raise DataError(f"subset size {m} out of range for pool of {n}")
     idx = np.sort(rng.generator.choice(n, size=m, replace=False))
-    return CandidateSet(tuple(int(i) for i in idx))
+    return CandidateSet(idx)

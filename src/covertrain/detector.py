@@ -148,16 +148,6 @@ class DetectionVerdict:
         return asdict(self)
 
 
-def _verdict(mmd_value: float, threshold: float) -> DetectionVerdict:
-    psi_value = mmd_value - threshold
-    return DetectionVerdict(
-        mmd=float(mmd_value),
-        threshold=float(threshold),
-        psi=float(psi_value),
-        suspicious=bool(psi_value >= 0.0),
-    )
-
-
 def mmd(Z: np.ndarray, Zp: np.ndarray, cfg: DetectorConfig) -> float:
     """Biased empirical MMD between two augmented samples.
 
@@ -191,7 +181,10 @@ def detect(pool: Dataset, sample: Dataset, cfg: DetectorConfig) -> DetectionVerd
     Z = augment(pool.X, pool.y, cfg.label_scale_c)
     Zp = augment(sample.X, sample.y, cfg.label_scale_c)
     value = mmd(Z, Zp, cfg)
-    return _verdict(value, mmd_threshold(len(pool), len(sample), cfg))
+    threshold = mmd_threshold(len(pool), len(sample), cfg)
+    psi_value = value - threshold  # both terms are Python floats
+    return DetectionVerdict(mmd=value, threshold=threshold, psi=psi_value,
+                            suspicious=psi_value >= 0.0)
 
 
 def psi(pool: Dataset, candidate: CandidateSet, cfg: DetectorConfig) -> DetectionVerdict:
@@ -278,9 +271,6 @@ class PoolKernel:
     def psi_indices(self, indices) -> float:
         return self.mmd_indices(indices) - self.threshold(len(indices))
 
-    def verdict_indices(self, indices) -> DetectionVerdict:
-        return _verdict(self.mmd_indices(indices), self.threshold(len(indices)))
-
     def feasible(self, indices, slack: float = FEASIBILITY_SLACK) -> bool:
         """Strict inequality psi < 0, implemented as psi <= -slack."""
         return self.psi_indices(indices) <= -slack
@@ -288,9 +278,6 @@ class PoolKernel:
     def weighted(self, b: np.ndarray) -> float:
         b = _check_weights(b, self.n)
         return _weighted_mmd(b, self.K @ b, self._row_sums, self._pool_term)
-
-    def weighted_psi(self, b: np.ndarray, m: int) -> float:
-        return self.weighted(b) - self.threshold(m)
 
     def weighted_grad(self, b: np.ndarray) -> np.ndarray:
         """Gradient of the weighted MMD w.r.t. b (zero where the radicand

@@ -9,7 +9,6 @@ the manifest so result.json is byte-reproducible.
 from __future__ import annotations
 
 import json
-import numbers
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
@@ -23,6 +22,7 @@ from .data import (
     RngState,
     check_counts,
     load_dataset,
+    plain_numbers,
     sample_subset,
     split_train_test,
 )
@@ -77,6 +77,7 @@ class ExperimentConfig:
     add_bias: bool = False
 
     def __post_init__(self):
+        plain_numbers(self)
         if self.solver not in SOLVERS:
             raise DataError(f"unknown solver {self.solver!r}")
         if not self.cover_paths:
@@ -84,9 +85,9 @@ class ExperimentConfig:
         if (self.test_fraction is None) == (self.test_path is None):
             raise DataError("set exactly one of test_fraction / test_path")
         check_counts(self, m=1, selection_budget=1, random_trials=1)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise DataError(f"seed must be an integer, got {self.seed!r}")
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)):
             raise DataError(f"alpha must be a number, got {self.alpha!r}")
         if not isinstance(self.add_bias, bool):
             raise DataError(f"add_bias must be true or false, got {self.add_bias!r}")

@@ -12,12 +12,12 @@ theta_hat is unique and training is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .data import DataError, Dataset, check_counts
+from .data import DataError, Dataset, check_counts, plain_numbers
 
 
 class TrainingError(RuntimeError):
@@ -54,14 +54,12 @@ class LearnerConfig:
     max_iter: int = 100
 
     def __post_init__(self):
+        plain_numbers(self)
         if not self.lam > 0:
             raise DataError("regularization weight lam must be positive")
         if not self.tol > 0:
             raise DataError("tol must be positive")
         check_counts(self, max_iter=1)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -111,16 +109,8 @@ def empirical_risk(theta: ModelParams, data: Dataset) -> float:
     return float(np.mean(instance_losses(theta, data.X, data.y)))
 
 
-def training_objective(
-    theta: ModelParams, view: WeightedTrainingView, cfg: LearnerConfig
-) -> float:
-    """Weighted loss sum plus ridge term (the quantity train() minimizes)."""
-    return _objective_raw(
-        theta.theta, view.pool.X, view.pool.y, view.weights, cfg.lam
-    )
-
-
 def _objective_raw(theta_vec, X, y, b, lam) -> float:
+    """Weighted loss sum plus ridge term (the quantity train() minimizes)."""
     losses = np.logaddexp(0.0, -_margins(theta_vec, X, y))
     return float(np.dot(b, losses)) + 0.5 * lam * float(np.dot(theta_vec, theta_vec))
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import (
-    CandidateSet, DataError, Dataset, RngState, check_counts, sample_subset,
+    CandidateSet, DataError, Dataset, RngState, check_counts, plain_numbers,
+    sample_subset,
 )
 from .detector import FEASIBILITY_SLACK, DetectorConfig, PoolKernel
 from .learner import (
@@ -71,6 +72,7 @@ class SolverBudget:
     wall_clock_limit: float | None = None
 
     def __post_init__(self):
+        plain_numbers(self)
         check_counts(self, max_trainings=1, restarts=1, beam_width=1,
                      neighbors_per_state=0)
         # `not limit >= 0` also rejects NaN, which would switch the limit off.
@@ -83,9 +85,6 @@ class SolverBudget:
         if r == self.restarts - 1:
             return base + self.max_trainings % self.restarts
         return base
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -151,6 +150,8 @@ class _Scorer:
         self.secret = secret
         self.m = m
         self.cfg = cfg
+        if kernel is not None and (kernel.n != len(pool) or kernel.cfg != det):
+            raise DataError("kernel was built for another pool size or detector")
         self.kernel = kernel or PoolKernel(pool, det)
         self.start = time.monotonic()
         self.limit = wall_clock_limit
@@ -213,13 +214,11 @@ def _finalize(
     scorer: _Scorer, name: str, seed: int | None, diagnostics: dict | None = None
 ) -> SolverReport:
     """Re-check the scorer's best set against the detector and report it."""
-    verdict = scorer.kernel.verdict_indices(scorer.best_idx)
-    if verdict.psi >= 0.0:
-        raise SolverError(
-            f"{name}: returned set fails the detector (psi={verdict.psi:.3e})"
-        )
+    psi = scorer.kernel.psi_indices(scorer.best_idx)
+    if psi >= 0.0:
+        raise SolverError(f"{name}: returned set fails the detector (psi={psi:.3e})")
     return SolverReport(
-        best=CandidateSet(scorer.best_idx, scorer.best_risk, verdict.psi),
+        best=CandidateSet(scorer.best_idx, scorer.best_risk, psi),
         trainings_used=scorer.trainings,
         feasibility_rejections=scorer.rejections,
         trajectory=list(scorer.trajectory),
@@ -359,8 +358,6 @@ def solve_beam(
             union.sort()
             beam = union[:w]
 
-    if scorer.best_idx is None:
-        raise SolverError("feasible region unreachable: beam never initialized")
     return _finalize(scorer, "beam", rng.seed)
 
 
@@ -383,8 +380,7 @@ def project_capped_simplex(v: np.ndarray, total: float) -> np.ndarray:
             lo = mid
         else:
             hi = mid
-    out = np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
-    return out
+    return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
 
 
 def solve_relaxed(
@@ -403,6 +399,7 @@ def solve_relaxed(
     """
     pool, secret, m, cfg = scorer.pool, scorer.secret, scorer.m, scorer.cfg
     kernel = scorer.kernel
+    threshold = kernel.threshold(m)
     if len(seed_set) != m:
         raise DataError(f"seed set has {len(seed_set)} indices, expected {m}")
 
@@ -413,7 +410,7 @@ def solve_relaxed(
     b[list(seed_set.indices)] = 1.0
 
     risk, theta = scorer.risk_weighted(b)
-    psi_b = kernel.weighted_psi(b, m)
+    psi_b = kernel.weighted(b) - threshold
     best_b, best_risk, best_theta, best_psi = b.copy(), risk, theta, psi_b
 
     def penalty(psi_b: float, rho: float) -> float:
@@ -439,7 +436,7 @@ def solve_relaxed(
                 if float(np.abs(b_new - b).max()) <= STEP_TOL:
                     break
                 risk_new, theta_new = scorer.risk_weighted(b_new)
-                psi_new = kernel.weighted_psi(b_new, m)
+                psi_new = kernel.weighted(b_new) - threshold
                 obj_new = risk_new + penalty(psi_new, rho)
                 if obj_new <= obj - 1e-4 * float(np.sum((b_new - b) ** 2)) / eta:
                     b, risk, theta, psi_b, obj = b_new, risk_new, theta_new, psi_new, obj_new

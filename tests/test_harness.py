@@ -21,6 +21,7 @@ from covertrain import (
     PoolKernel,
     RngState,
     SolverBudget,
+    SolverError,
     SolverReport,
     StageError,
     oracle_baseline,
@@ -72,6 +73,37 @@ class TestSelectCoverTask:
             secret, [pool, pool, pool], 4, 10, learner_cfg, 0.05, RngState(2)
         )
         assert idx == 0
+
+    def test_infeasible_pool_is_skipped(self, learner_cfg, monkeypatch):
+        secret = gaussian_task(6, 10, role="secret_set")
+        pool = gaussian_task(7, 10)
+        calls = []
+        solve_uniform = harness.solve_uniform
+
+        def first_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise SolverError("feasible region unreachable")
+            return solve_uniform(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_uniform", first_fails)
+        idx, _, reports, _ = select_cover_task(
+            secret, [pool, pool], 4, 10, learner_cfg, 0.05, RngState(2)
+        )
+        assert len(calls) == 2
+        assert idx == 1 and len(reports) == 1
+
+    def test_every_pool_infeasible(self, learner_cfg, monkeypatch):
+        secret = gaussian_task(6, 10, role="secret_set")
+        pool = gaussian_task(7, 10)
+
+        def fails(*args, **kwargs):
+            raise SolverError("feasible region unreachable")
+
+        monkeypatch.setattr(harness, "solve_uniform", fails)
+        with pytest.raises(SolverError, match="all 2 candidate pools"):
+            select_cover_task(secret, [pool, pool], 4, 10, learner_cfg, 0.05,
+                              RngState(2))
 
 
 class TestRandomBaseline:
@@ -234,6 +266,58 @@ class TestRunExperiment:
         assert (Path(cfg.out_dir) / "result.json").read_bytes() == (
             tmp_path / "replay" / "result.json"
         ).read_bytes()
+
+    def test_test_fraction_split_replays(self, tmp_path, monkeypatch):
+        splits = []
+        split_train_test = harness.split_train_test
+
+        def counted(*args):
+            splits.append(1)
+            return split_train_test(*args)
+
+        monkeypatch.setattr(harness, "split_train_test", counted)
+        paths = write_task_files(tmp_path)
+        cfg = replace(base_config(tmp_path, paths), test_fraction=0.75,
+                      test_path=None)
+        _, manifest = run_experiment(cfg)
+        assert manifest["stages"]["load"]["secret_train"] == 30  # ceil(0.75 * 40)
+        rerun_from_manifest(Path(cfg.out_dir) / "manifest.json", tmp_path / "replay")
+        assert len(splits) == 2
+        assert (Path(cfg.out_dir) / "result.json").read_bytes() == (
+            tmp_path / "replay" / "result.json"
+        ).read_bytes()
+
+    def test_numpy_integer_config_writes_the_same_bytes(self, tmp_path):
+        # numpy values ran every stage and then failed to serialise, with
+        # result.json or manifest.json left unwritten
+        paths = write_task_files(tmp_path)
+        plain = replace(base_config(tmp_path, paths), out_dir=str(tmp_path / "a"))
+        numpy_cfg = replace(
+            plain, m=np.int64(8), seed=np.int64(7), random_trials=np.int32(5),
+            budget=replace(plain.budget, max_trainings=np.int64(40)),
+            out_dir=str(tmp_path / "b"),
+        )
+        run_experiment(plain)
+        run_experiment(numpy_cfg)
+        for name in ("result.json", "chosen_set.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name).read_bytes()
+        a, b = (json.loads((tmp_path / d / "manifest.json").read_text())
+                for d in "ab")
+        for manifest in (a, b):
+            del manifest["timings"], manifest["config"]["out_dir"]
+        assert a == b
+        assert type(numpy_cfg.seed) is int
+        assert type(numpy_cfg.budget.max_trainings) is int
+
+    def test_float32_config_runs_to_completion(self, tmp_path):
+        paths = write_task_files(tmp_path)
+        cfg = replace(base_config(tmp_path, paths), alpha=np.float32(0.05),
+                      test_fraction=np.float32(0.75), test_path=None)
+        run_experiment(cfg)
+        manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+        assert manifest["config"]["alpha"] == float(np.float32(0.05))
+        assert (Path(cfg.out_dir) / "result.json").exists()
 
     def test_dump_model(self, tmp_path):
         paths = write_task_files(tmp_path)

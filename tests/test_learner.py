@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import covertrain.learner as learner
 from covertrain import (
     DataError,
     LearnerConfig,
@@ -21,7 +22,6 @@ from covertrain import (
     risk_gradient_wrt_weights,
     stationarity_residual,
     train,
-    training_objective,
 )
 from covertrain.learner import instance_losses
 
@@ -35,6 +35,13 @@ def ones_view(ds):
 def loss(theta, x, y):
     """Logistic loss of one instance with features x and label y."""
     return float(instance_losses(theta, np.atleast_2d(x), np.array([y]))[0])
+
+
+def objective(theta, view, cfg):
+    """Weighted loss sum plus ridge term, the quantity train() minimizes."""
+    losses = instance_losses(theta, view.pool.X, view.pool.y)
+    ridge = 0.5 * cfg.lam * float(theta.theta @ theta.theta)
+    return float(view.weights @ losses) + ridge
 
 
 class TestLogisticLoss:
@@ -147,10 +154,10 @@ class TestTrain:
         view = ones_view(pool)
         theta = train(view, learner_cfg).theta
 
-        def objective(t):
-            return training_objective(ModelParams(t), view, learner_cfg)
+        def at(t):
+            return objective(ModelParams(t), view, learner_cfg)
 
-        res = minimize(objective, np.zeros(pool.dimension), method="Nelder-Mead",
+        res = minimize(at, np.zeros(pool.dimension), method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 20000})
         assert np.linalg.norm(theta - res.x) <= 1e-4
 
@@ -159,11 +166,29 @@ class TestTrain:
         view = ones_view(pool)
         theta = train(view, learner_cfg)
         zero = ModelParams(np.zeros(pool.dimension))
-        assert training_objective(theta, view, learner_cfg) <= training_objective(
-            zero, view, learner_cfg
-        )
+        assert objective(theta, view, learner_cfg) <= objective(zero, view, learner_cfg)
         # the unregularized risk improves too (the ridge term only shrinks)
         assert empirical_risk(theta, pool) <= empirical_risk(zero, pool)
+
+    def test_damped_fallback_converges(self, monkeypatch):
+        # large features and a tiny ridge: some full Newton steps do not
+        # shrink the residual, so train backtracks on the objective instead
+        calls = []
+        objective_raw = learner._objective_raw
+
+        def counted(*args):
+            calls.append(1)
+            return objective_raw(*args)
+
+        monkeypatch.setattr(learner, "_objective_raw", counted)
+        cfg = LearnerConfig(lam=1e-5)
+        X = 100.0 * RngState(27).generator.standard_normal((6, 3))
+        view = ones_view(make_dataset(X, [1, -1, 1, -1, 1, -1]))
+        theta = train(view, cfg)
+        assert calls  # the Armijo backtracking ran
+        assert stationarity_residual(theta, view, cfg) <= cfg.tol
+        zero = ModelParams(np.zeros(3))
+        assert objective(theta, view, cfg) <= objective(zero, view, cfg)
 
     def test_stationarity_residual_within_tol(self, learner_cfg):
         pool = gaussian_task(31, 20, dim=4)

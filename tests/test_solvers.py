@@ -12,6 +12,8 @@ from covertrain import (
     CandidateSet,
     DataError,
     DetectorConfig,
+    LearnerConfig,
+    SyntheticSpec,
     acceptance_spec,
     generate,
     mmd_threshold,
@@ -99,6 +101,14 @@ class TestSolveUniform:
         assert report.best.cached_risk == pytest.approx(best_risk, rel=1e-9)
         # dedup: only 56 distinct subsets exist, so far fewer trainings than B
         assert report.trainings_used <= 56
+
+    def test_dedup_off_spends_the_whole_budget(self, learner_cfg):
+        # only 56 distinct subsets exist, so B = 80 retrains repeats
+        pool, secret, det = brute_instance()
+        report = solve_uniform(pool, secret, 3, learner_cfg, det,
+                               SolverBudget(max_trainings=80), RngState(11),
+                               dedup=False)
+        assert report.trainings_used == 80
 
     def test_deterministic(self, learner_cfg):
         pool, secret, det = brute_instance()
@@ -242,12 +252,58 @@ class TestSolveBeam:
         budget = SolverBudget(max_trainings=32, restarts=3)
         assert [budget.per_restart(r) for r in range(3)] == [10, 10, 12]
 
+    def test_restarts_without_budget_are_skipped(self, learner_cfg, monkeypatch):
+        # B=2 over 3 restarts gives shares 0, 0 and 2
+        draws = []
+        draw = solvers._Scorer.draw
+
+        def counted(self, *args):
+            draws.append(draw(self, *args))
+            return draws[-1]
+
+        monkeypatch.setattr(solvers._Scorer, "draw", counted)
+        pool, secret, det = brute_instance()
+        budget = SolverBudget(max_trainings=2, restarts=3, beam_width=2)
+        report = solve_beam(pool, secret, 3, learner_cfg, det, budget, RngState(63))
+        assert draws[:2] == [0, 0] and draws[2] > 0
+        assert report.trainings_used == 2
+
     def test_initialization_failure(self, learner_cfg):
         pool, secret, _ = brute_instance()
         det = unreachable_detector(pool)
         budget = SolverBudget(max_trainings=10, beam_width=3)
         with pytest.raises(SolverError, match="initialization"):
             solve_beam(pool, secret, 3, learner_cfg, det, budget, RngState(61))
+
+
+class TestKernelMatch:
+    """A solver's `kernel=` must be built on its pool under its detector."""
+
+    @staticmethod
+    def solve(name, pool, secret, det, kernel, learner_cfg):
+        budget = SolverBudget(max_trainings=20, beam_width=2)
+        if name == "nlp":
+            return solve_nlp(pool, secret, 3, learner_cfg, det,
+                             CandidateSet((0, 1, 2)), budget, kernel=kernel)
+        solve = solve_uniform if name == "uniform" else solve_beam
+        return solve(pool, secret, 3, learner_cfg, det, budget, RngState(1),
+                     kernel=kernel)
+
+    @pytest.mark.parametrize("name", ["uniform", "beam", "nlp"])
+    def test_kernel_for_another_pool_size(self, learner_cfg, name):
+        pool, secret, det = brute_instance()
+        small = PoolKernel(pool.subset(range(4), role="camouflage_pool"), det)
+        with pytest.raises(DataError, match="kernel"):
+            self.solve(name, pool, secret, det, small, learner_cfg)
+
+    @pytest.mark.parametrize("name", ["uniform", "beam", "nlp"])
+    def test_kernel_for_another_detector(self, learner_cfg, name):
+        # the kernel's looser threshold would pass sets that `det` flags
+        pool, secret, det = brute_instance()
+        strict = replace(det, kernel_bound=1e-6)
+        with pytest.raises(DataError, match="kernel"):
+            self.solve(name, pool, secret, strict, PoolKernel(pool, det),
+                       learner_cfg)
 
 
 class TestProjection:
@@ -320,6 +376,31 @@ class TestSolveRelaxed:
         assert sol.stationarity_resid <= 1e-6
         assert sol.psi_b <= -FEASIBILITY_SLACK
 
+    def test_rejected_step_halves_the_step_size(self, monkeypatch):
+        secret, pool, _ = generate(SyntheticSpec(seed=5, cover_count=30,
+                                                 secret_count=30))
+        cfg = LearnerConfig(lam=0.01)
+        det = DetectorConfig.from_pool(pool)
+        run = scorer(pool, secret, 10, cfg, det)
+        rng = RngState(4)
+        seed_set = sample_subset(pool, 10, rng)
+        while not run.kernel.feasible(seed_set.indices):
+            seed_set = sample_subset(pool, 10, rng)
+        seed_risk = subset_risk(pool, seed_set.indices, secret, cfg)
+        marks = []
+
+        def gradient(*args, **kwargs):
+            marks.append(run.trainings)
+            return risk_gradient_wrt_weights(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "risk_gradient_wrt_weights", gradient)
+        sol = solve_relaxed(run, seed_set, NO_CAP)
+        # an accepted step is followed by the next gradient, so two trial
+        # trainings between gradients mean a rejected step halved eta
+        assert max(np.diff(marks + [run.trainings])) >= 2
+        assert empirical_risk(sol.theta, secret) <= seed_risk + 1e-9
+        assert abs(sol.b.sum() - 10) <= 1e-6
+
     def test_projected_gradient_direction_descends(self, learner_cfg):
         # finite-difference audit of the first step on a 2-D instance
         pool, secret, det = relaxed_instance(seed=211, n_per=10, m=5)
@@ -331,7 +412,8 @@ class TestSolveRelaxed:
         def objective(b):
             theta = train(WeightedTrainingView(pool, b), learner_cfg)
             risk = empirical_risk(theta, secret)
-            violation = max(kernel.weighted_psi(b, 5) + FEASIBILITY_SLACK, 0.0)
+            psi_b = kernel.weighted(b) - kernel.threshold(5)
+            violation = max(psi_b + FEASIBILITY_SLACK, 0.0)
             return risk + violation * violation
 
         view = WeightedTrainingView(pool, b0)

@@ -250,11 +250,17 @@ class PoolKernel:
 
     def __init__(self, pool: Dataset, cfg: DetectorConfig):
         self.cfg = cfg
+        self.pool = pool
         self.n = len(pool)
         Z = augment(pool.X, pool.y, cfg.label_scale_c)
         self.K = gram(Z, Z, cfg.sigma)
         self.K.setflags(write=False)
         self._row_sums, self._pool_term = _pool_sums(self.K)
+
+    def fits(self, pool: Dataset, cfg: DetectorConfig) -> bool:
+        """True when this is the kernel of `pool`'s contents under `cfg`."""
+        return (cfg == self.cfg and np.array_equal(pool.X, self.pool.X)
+                and np.array_equal(pool.y, self.pool.y))
 
     def threshold(self, m: int) -> float:
         return mmd_threshold(self.n, m, self.cfg)

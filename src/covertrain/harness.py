@@ -29,12 +29,15 @@ from .data import (
 from .detector import DetectorConfig, PoolKernel, psi
 from .learner import (
     LearnerConfig,
+    ModelParams,
     WeightedTrainingView,
     empirical_risk,
     predict_error,
     train,
+    train_batch,
 )
 from .solvers import (
+    BATCH_VALUES,
     SolverBudget,
     SolverError,
     SolverReport,
@@ -91,6 +94,8 @@ class ExperimentConfig:
             raise DataError(f"alpha must be a number, got {self.alpha!r}")
         if not isinstance(self.add_bias, bool):
             raise DataError(f"add_bias must be true or false, got {self.add_bias!r}")
+        if self.label_map is not None:
+            object.__setattr__(self, "label_map", _integer_values(self.label_map))
 
     def to_dict(self) -> dict:
         return {_CONFIG_KEYS.get(k, k): v for k, v in asdict(self).items()}
@@ -108,6 +113,18 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def _integer_values(label_map) -> dict:
+    """A copy of `label_map` with its values as Python ints; DataError if it
+    is not a mapping or a value is not an integer (numpy integers pass)."""
+    if not isinstance(label_map, dict):
+        raise DataError(f"label_map must be an object, got {label_map!r}")
+    for key, value in label_map.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DataError(f"label_map value for {key!r} must be an integer, "
+                            f"got {value!r}")
+    return {key: int(value) for key, value in label_map.items()}
 
 
 def _fields_from(cls, obj, keys: dict) -> dict:
@@ -207,11 +224,13 @@ def random_baseline(
     over trials; std is the population form, zero for a single trial."""
     if trials < 1:
         raise DataError("need at least one trial")
+    rows = max(1, BATCH_VALUES // (m * pool.dimension))
     errors = []
-    for _ in range(trials):
-        sub = pool.subset(sample_subset(pool, m, rng).indices)
-        theta = train(WeightedTrainingView(sub, np.ones(len(sub))), cfg)
-        errors.append(predict_error(theta, secret_test))
+    for start in range(0, trials, rows):
+        idx = np.array([sample_subset(pool, m, rng).indices
+                        for _ in range(min(rows, trials - start))], dtype=np.int64)
+        for theta in train_batch(pool.X[idx], pool.y[idx], cfg):
+            errors.append(predict_error(ModelParams(theta), secret_test))
     return float(np.mean(errors)), float(np.std(errors))
 
 

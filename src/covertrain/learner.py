@@ -124,6 +124,20 @@ def stationarity_residual(
     return float(np.linalg.norm(g))
 
 
+def _backtrack(theta, direction, grad, X, y, b, lam) -> np.ndarray:
+    """Armijo backtracking from theta along -direction on the objective; the
+    point it accepts, or the last one tried once the step falls to 1e-12."""
+    decrease = float(grad @ direction)  # positive: direction is descent
+    obj = _objective_raw(theta, X, y, b, lam)
+    step = 1.0
+    while step > 1e-12:
+        cand = theta - step * direction
+        if _objective_raw(cand, X, y, b, lam) <= obj - 1e-4 * step * decrease:
+            break
+        step *= 0.5
+    return cand
+
+
 def train(view: WeightedTrainingView, cfg: LearnerConfig) -> ModelParams:
     """Minimize the weighted regularized objective by damped Newton steps.
 
@@ -164,15 +178,7 @@ def train(view: WeightedTrainingView, cfg: LearnerConfig) -> ModelParams:
             theta, p, grad, residual = cand, cand_p, cand_grad, cand_residual
             continue
 
-        decrease = float(grad @ direction)  # positive: direction is descent
-        obj = _objective_raw(theta, X, y, b, lam)
-        step = 1.0
-        while step > 1e-12:
-            cand = theta - step * direction
-            if _objective_raw(cand, X, y, b, lam) <= obj - 1e-4 * step * decrease:
-                break
-            step *= 0.5
-        theta = cand
+        theta = _backtrack(theta, direction, grad, X, y, b, lam)
         p = probabilities(theta)
         grad = gradient_from(theta, p)
         residual = float(np.linalg.norm(grad))
@@ -182,6 +188,66 @@ def train(view: WeightedTrainingView, cfg: LearnerConfig) -> ModelParams:
     raise TrainingError(
         f"no convergence in {cfg.max_iter} iterations (residual {residual:.3e})",
         residual=residual,
+    )
+
+
+def train_batch(X: np.ndarray, y: np.ndarray, cfg: LearnerConfig) -> np.ndarray:
+    """Train one model per row of a batch of unit-weight training sets.
+
+    X has shape (B, m, d) and y shape (B, m); returns the (B, d) minimizers.
+    Runs train's method on all rows at once: each row starts from zero,
+    takes its full Newton step whenever that shrinks its residual and
+    otherwise train's Armijo backtracking, and stops once its own residual
+    is within cfg.tol. Raises TrainingError carrying the largest residual
+    if any row is still above cfg.tol after cfg.max_iter steps.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    lam = cfg.lam
+    eye = np.eye(X.shape[2])
+    ones = np.ones(X.shape[1])
+
+    def probabilities(t, Xs, ys):
+        return expit(-(ys * (Xs @ t[:, :, None])[:, :, 0]))
+
+    def gradient_from(t, Xs, ys, p):
+        return (np.swapaxes(Xs, 1, 2) @ (-(ys * p))[:, :, None])[:, :, 0] + lam * t
+
+    theta = np.zeros((X.shape[0], X.shape[2]))
+    p = probabilities(theta, X, y)
+    grad = gradient_from(theta, X, y, p)
+    residual = np.linalg.norm(grad, axis=1)
+    for _ in range(cfg.max_iter):
+        rows = np.flatnonzero(~(residual <= cfg.tol))  # NaN stays active
+        if rows.size == 0:
+            return theta
+        Xs, ys, t, g, ps = X[rows], y[rows], theta[rows], grad[rows], p[rows]
+        w = ps * (1.0 - ps)
+        hess = (np.swapaxes(Xs, 1, 2) * w[:, None, :]) @ Xs + lam * eye
+        direction = np.linalg.solve(hess, g[:, :, None])[:, :, 0]
+
+        cand = t - direction
+        cand_p = probabilities(cand, Xs, ys)
+        cand_grad = gradient_from(cand, Xs, ys, cand_p)
+        cand_residual = np.linalg.norm(cand_grad, axis=1)
+        damped = np.flatnonzero(~(cand_residual < residual[rows]))
+        if damped.size:
+            for k in damped:
+                cand[k] = _backtrack(t[k], direction[k], g[k], Xs[k], ys[k], ones, lam)
+            cand_p[damped] = probabilities(cand[damped], Xs[damped], ys[damped])
+            cand_grad[damped] = gradient_from(
+                cand[damped], Xs[damped], ys[damped], cand_p[damped])
+            cand_residual[damped] = np.linalg.norm(cand_grad[damped], axis=1)
+        theta[rows], p[rows], grad[rows] = cand, cand_p, cand_grad
+        residual[rows] = cand_residual
+
+    if np.all(residual <= cfg.tol):
+        return theta
+    worst = float(np.max(residual))  # NaN if any row's residual is NaN
+    raise TrainingError(
+        f"no convergence in {cfg.max_iter} iterations "
+        f"(largest residual {worst:.3e})",
+        residual=worst,
     )
 
 

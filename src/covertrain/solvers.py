@@ -8,7 +8,9 @@ All three take the run's SolverBudget (NlpOptions is another name for it;
 solve_nlp reads only its two limits). Each run holds its instance and
 accounting in one _Scorer; solve_nlp runs the relaxation and then the
 rounding sweep on it, reserving one training per rounding candidate so the
-sweep always fits the budget.
+sweep always fits the budget. Uniform search and the rounding sweep know
+their subsets before any risk, so they train them in batches (train_batch);
+beam search trains one subset at a time.
 
 Strict detector feasibility psi < 0 is implemented as psi <= -1e-9
 (FEASIBILITY_SLACK) for numerical stability.
@@ -17,7 +19,6 @@ Strict detector feasibility psi < 0 is implemented as psi <= -1e-9
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,7 @@ from .learner import (
     risk_gradient_wrt_weights,
     stationarity_residual,
     train,
+    train_batch,
 )
 
 # Fixed schedule of the relaxed solver: penalty rounds, projected-gradient
@@ -53,6 +55,10 @@ DRAW_CAP_FACTOR = 10
 
 # Cap on neighbor proposals, as a multiple of the requested neighbor count.
 NEIGHBOR_RETRY_FACTOR = 20
+
+# Most gathered feature values (subsets x m x d) trained in one batch, so a
+# batch's memory stays bounded whatever the budget.
+BATCH_VALUES = 2**16
 
 
 class SolverError(RuntimeError):
@@ -136,7 +142,8 @@ NlpOptions = SolverBudget  # solve_nlp reads only the two limits
 class _Scorer:
     """One solver run: its instance (the pool's kernel is built from `det`
     when none is given) and its accounting. Trains the learner on pool
-    m-subsets and scores secret-set risk, charging one training each; audits
+    m-subsets, one at a time (`risk`) or in batches (`risk_many`), and
+    scores secret-set risk, charging one training each; audits
     subsets against the detector, counting rejections; holds the deadline.
     Keeps the lowest-risk subset scored so far and the trajectory of
     (trainings, best risk) at each improvement."""
@@ -150,8 +157,8 @@ class _Scorer:
         self.secret = secret
         self.m = m
         self.cfg = cfg
-        if kernel is not None and (kernel.n != len(pool) or kernel.cfg != det):
-            raise DataError("kernel was built for another pool size or detector")
+        if kernel is not None and not kernel.fits(pool, det):
+            raise DataError("kernel was built for another pool or detector")
         self.kernel = kernel or PoolKernel(pool, det)
         self.start = time.monotonic()
         self.limit = wall_clock_limit
@@ -174,34 +181,54 @@ class _Scorer:
         """True once `cap` trainings are charged or the deadline has passed."""
         return self.trainings >= cap or self.expired()
 
-    def draw(self, rng: RngState, cap: int,
-             done: Callable[[], bool], scored: dict | None) -> int:
-        """Score uniformly drawn feasible m-subsets until `done()` or `cap`
-        draws; returns the number of draws. With `scored` a dict, subsets
-        already in it are skipped and each new risk is stored there."""
+    def draw(self, rng: RngState, cap: int, want: int,
+             seen: set | None) -> tuple[list[tuple[int, ...]], int]:
+        """Draw uniform m-subsets until `want` feasible ones are kept, `cap`
+        draws are made or the deadline passes (checked before each draw).
+        With `seen` a set, subsets already in it are skipped and each kept
+        one is added to it. Scores nothing; returns the kept subsets in draw
+        order and the number of draws."""
+        kept: list[tuple[int, ...]] = []
         draws = 0
-        while draws < cap and not done():
+        while len(kept) < want and draws < cap and not self.expired():
             draws += 1
             idx = sample_subset(self.pool, self.m, rng).indices
             if not self.feasible(idx):
                 continue
-            if scored is None:
-                self.risk(idx)
-            elif idx not in scored:
-                scored[idx] = self.risk(idx)
-        return draws
+            if seen is not None:
+                if idx in seen:
+                    continue
+                seen.add(idx)
+            kept.append(idx)
+        return kept, draws
 
-    def risk(self, indices: tuple[int, ...]) -> float:
-        sub = self.pool.subset(indices, role="training_set")
-        view = WeightedTrainingView(sub, np.ones(len(sub)))
-        theta = train(view, self.cfg)
+    def _record(self, indices: tuple[int, ...], risk: float) -> None:
         self.trainings += 1
-        risk = empirical_risk(theta, self.secret)
         if risk < self.best_risk:
             self.best_idx = indices
             self.best_risk = risk
             self.trajectory.append((self.trainings, risk))
+
+    def risk(self, indices: tuple[int, ...]) -> float:
+        sub = self.pool.subset(indices, role="training_set")
+        view = WeightedTrainingView(sub, np.ones(len(sub)))
+        risk = empirical_risk(train(view, self.cfg), self.secret)
+        self._record(indices, risk)
         return risk
+
+    def risk_many(self, batch: list[tuple[int, ...]]) -> None:
+        """Score every subset of `batch`, charging one training each, by
+        batched training; risks are recorded in batch order."""
+        X, y = self.pool.X, self.pool.y
+        rows = max(1, BATCH_VALUES // (self.m * X.shape[1]))
+        for start in range(0, len(batch), rows):
+            chunk = batch[start:start + rows]
+            idx = np.array(chunk, dtype=np.int64)
+            thetas = train_batch(X[idx], y[idx], self.cfg)
+            margins = self.secret.y * (thetas @ self.secret.X.T)
+            risks = np.mean(np.logaddexp(0.0, -margins), axis=1)
+            for indices, risk in zip(chunk, risks):
+                self._record(indices, float(risk))
 
     def risk_weighted(self, b: np.ndarray) -> tuple[float, ModelParams]:
         view = WeightedTrainingView(self.pool, b)
@@ -248,9 +275,8 @@ def solve_uniform(
     """
     scorer = _Scorer(pool, secret, m, cfg, det, kernel, budget.wall_clock_limit)
     B = budget.max_trainings
-    draws = scorer.draw(
-        rng, DRAW_CAP_FACTOR * B, lambda: scorer.spent(B), {} if dedup else None
-    )
+    batch, draws = scorer.draw(rng, DRAW_CAP_FACTOR * B, B, set() if dedup else None)
+    scorer.risk_many(batch)
     if scorer.best_idx is None:
         if scorer.expired():
             raise SolverError(
@@ -321,11 +347,10 @@ def solve_beam(
 
     for r in range(budget.restarts):
         budget_end = scorer.trainings + budget.per_restart(r)
-        evaluated: dict[tuple[int, ...], float] = {}
-        draws = scorer.draw(
-            rng, init_cap,
-            lambda: len(evaluated) >= w or scorer.spent(budget_end), evaluated,
+        batch, draws = scorer.draw(
+            rng, init_cap, min(w, budget_end - scorer.trainings), set()
         )
+        evaluated = {idx: scorer.risk(idx) for idx in batch}
         if not evaluated:
             if scorer.trainings >= budget_end:
                 continue  # restart had no budget left
@@ -494,9 +519,7 @@ def round_relaxed(
     candidates = rounding_candidates(
         sol.b, seed_set.indices, len(scorer.pool), scorer.m
     )
-    for idx in candidates:
-        if scorer.feasible(idx):
-            scorer.risk(idx)
+    scorer.risk_many([idx for idx in candidates if scorer.feasible(idx)])
     if scorer.best_idx is None:
         raise SolverError("no feasible rounding candidate (seed should be)")
     return _finalize(

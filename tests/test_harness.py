@@ -14,6 +14,7 @@ import covertrain.harness as harness
 from covertrain import (
     CandidateSet,
     DataError,
+    Dataset,
     DetectorConfig,
     EvaluationRow,
     ExperimentConfig,
@@ -121,6 +122,19 @@ class TestRandomBaseline:
         b = random_baseline(pool, test, 4, 5, learner_cfg, RngState(4))
         assert a == b
 
+    def test_chunked_batches_give_the_same_errors(self, learner_cfg, monkeypatch):
+        pool = gaussian_task(10, 10)
+        test = gaussian_task(11, 10, role="test_set")
+        whole = random_baseline(pool, test, 4, 7, learner_cfg, RngState(4))
+        monkeypatch.setattr(harness, "BATCH_VALUES", 2 * 4 * pool.dimension)
+        assert random_baseline(pool, test, 4, 7, learner_cfg, RngState(4)) == whole
+
+    def test_empty_test_set_raises(self, learner_cfg):
+        pool = gaussian_task(8, 10)
+        empty = Dataset(np.zeros((0, 2)), np.zeros(0, int), role="test_set")
+        with pytest.raises(DataError, match="empty"):
+            random_baseline(pool, empty, 4, 3, learner_cfg, RngState(3))
+
     def test_uninformative_cover_near_chance(self, learner_cfg):
         # cover labels orthogonal to the secret axis: expected error 1/2,
         # with a 3-sigma band for the mean of 50 trials
@@ -146,8 +160,6 @@ class TestOracleBaseline:
         secret = gaussian_task(17, 20, separation=6.0, role="secret_set")
         test = gaussian_task(18, 30, separation=6.0, role="test_set")
         err = oracle_baseline(secret, test, learner_cfg)
-        from covertrain import Dataset
-
         flipped = Dataset(test.X, -test.y, role="test_set")
         assert oracle_baseline(secret, flipped, learner_cfg) == pytest.approx(
             1.0 - err, abs=1e-12
@@ -310,6 +322,26 @@ class TestRunExperiment:
         assert type(numpy_cfg.seed) is int
         assert type(numpy_cfg.budget.max_trainings) is int
 
+    def test_numpy_label_map_writes_the_same_bytes(self, tmp_path):
+        # numpy label values wrote result.json and then failed to serialise
+        # manifest.json, leaving a half-written run
+        paths = write_task_files(tmp_path)
+        plain = replace(base_config(tmp_path, paths), out_dir=str(tmp_path / "a"),
+                        label_map={"1": 1, "-1": -1})
+        numpy_cfg = replace(plain, out_dir=str(tmp_path / "b"),
+                            label_map={"1": np.int64(1), "-1": np.int32(-1)})
+        run_experiment(plain)
+        run_experiment(numpy_cfg)
+        for name in ("result.json", "chosen_set.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name).read_bytes()
+        a, b = (json.loads((tmp_path / d / "manifest.json").read_text())
+                for d in "ab")
+        for manifest in (a, b):
+            del manifest["timings"], manifest["config"]["out_dir"]
+        assert a == b
+        assert all(type(v) is int for v in numpy_cfg.label_map.values())
+
     def test_float32_config_runs_to_completion(self, tmp_path):
         paths = write_task_files(tmp_path)
         cfg = replace(base_config(tmp_path, paths), alpha=np.float32(0.05),
@@ -379,6 +411,9 @@ class TestRunExperiment:
         ("seed", "7"),
         ("alpha", "0.05"),
         ("alpha", True),
+        ("label_map", {"1": 1.0, "-1": -1}),
+        ("label_map", {"1": True, "-1": -1}),
+        ("label_map", [["1", 1], ["-1", -1]]),
     ])
     def test_config_rejects_non_integer_counts(self, tmp_path, where, value):
         # counts, seed, alpha and flags are taken as given, never truncated

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 import covertrain.learner as learner
@@ -171,8 +174,6 @@ class TestTrain:
         assert empirical_risk(theta, pool) <= empirical_risk(zero, pool)
 
     def test_damped_fallback_converges(self, monkeypatch):
-        # large features and a tiny ridge: some full Newton steps do not
-        # shrink the residual, so train backtracks on the objective instead
         calls = []
         objective_raw = learner._objective_raw
 
@@ -181,9 +182,8 @@ class TestTrain:
             return objective_raw(*args)
 
         monkeypatch.setattr(learner, "_objective_raw", counted)
-        cfg = LearnerConfig(lam=1e-5)
-        X = 100.0 * RngState(27).generator.standard_normal((6, 3))
-        view = ones_view(make_dataset(X, [1, -1, 1, -1, 1, -1]))
+        X, y, cfg = damped_instance()
+        view = ones_view(make_dataset(X, y))
         theta = train(view, cfg)
         assert calls  # the Armijo backtracking ran
         assert stationarity_residual(theta, view, cfg) <= cfg.tol
@@ -206,6 +206,64 @@ class TestTrain:
     def test_rejects_zero_lambda(self):
         with pytest.raises(DataError):
             LearnerConfig(lam=0.0)
+
+
+def damped_instance():
+    """Large features and a tiny ridge: some full Newton steps do not shrink
+    the residual, so training backtracks on the objective instead."""
+    X = 100.0 * RngState(27).generator.standard_normal((6, 3))
+    return X, np.array([1, -1, 1, -1, 1, -1]), LearnerConfig(lam=1e-5)
+
+
+def train_rows(X, y, cfg):
+    """`train` on each row of a batch, one subset at a time."""
+    return np.array([train(ones_view(make_dataset(Xr, yr)), cfg).theta
+                     for Xr, yr in zip(X, y)])
+
+
+class TestTrainBatch:
+    """Rows agree with `train` within 2 tol / lam: both solutions are
+    stationary to tol, and the objective is lam-strongly convex."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_train(self, data):
+        B, m, d = (data.draw(st.integers(1, hi)) for hi in (5, 8, 4))
+        X = data.draw(arrays(np.float64, (B, m, d),
+                             elements=st.floats(-5.0, 5.0)))
+        y = data.draw(arrays(np.int64, (B, m), elements=st.sampled_from([-1, 1])))
+        cfg = LearnerConfig(lam=data.draw(st.floats(0.1, 10.0)))
+        got = learner.train_batch(X, y, cfg)
+        assert got.shape == (B, d)
+        gaps = np.linalg.norm(got - train_rows(X, y, cfg), axis=1)
+        assert np.all(gaps <= 2.0 * cfg.tol / cfg.lam)
+
+    def test_damped_row_beside_ordinary_rows(self, monkeypatch):
+        calls = []
+        objective_raw = learner._objective_raw
+
+        def counted(*args):
+            calls.append(1)
+            return objective_raw(*args)
+
+        X_damped, y_damped, cfg = damped_instance()
+        ordinary = RngState(28).generator.standard_normal((2, 6, 3))
+        X = np.concatenate([ordinary[:1], X_damped[None], ordinary[1:]])
+        y = np.tile(y_damped, (3, 1))
+        monkeypatch.setattr(learner, "_objective_raw", counted)
+        got = learner.train_batch(X, y, cfg)
+        assert calls  # the Armijo backtracking ran inside the batch
+        gaps = np.linalg.norm(got - train_rows(X, y, cfg), axis=1)
+        assert np.all(gaps <= 2.0 * cfg.tol / cfg.lam)
+
+    def test_nonconvergence_carries_residual(self):
+        cfg = LearnerConfig(lam=1.0, tol=1e-14, max_iter=1)
+        pool = gaussian_task(5, 20, separation=6.0)
+        X = np.stack([pool.X, pool.X[::-1]])
+        y = np.stack([pool.y, pool.y[::-1]])
+        with pytest.raises(TrainingError) as err:
+            learner.train_batch(X, y, cfg)
+        assert err.value.residual is not None and err.value.residual > 1e-14
 
 
 class TestPredictError:

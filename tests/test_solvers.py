@@ -34,6 +34,7 @@ from covertrain import (
     solve_uniform,
     train,
 )
+from covertrain.learner import train_batch
 from covertrain.solvers import FEASIBILITY_SLACK, round_relaxed, solve_relaxed
 
 from conftest import exhaustive_best, gaussian_task, make_dataset, subset_risk
@@ -258,8 +259,9 @@ class TestSolveBeam:
         draw = solvers._Scorer.draw
 
         def counted(self, *args):
-            draws.append(draw(self, *args))
-            return draws[-1]
+            kept, count = draw(self, *args)
+            draws.append(count)
+            return kept, count
 
         monkeypatch.setattr(solvers._Scorer, "draw", counted)
         pool, secret, det = brute_instance()
@@ -295,6 +297,17 @@ class TestKernelMatch:
         small = PoolKernel(pool.subset(range(4), role="camouflage_pool"), det)
         with pytest.raises(DataError, match="kernel"):
             self.solve(name, pool, secret, det, small, learner_cfg)
+
+    @pytest.mark.parametrize("name", ["uniform", "beam", "nlp"])
+    def test_kernel_for_another_pool_of_the_same_size(self, learner_cfg, name):
+        # same size and detector config, other points: the kernel's psi
+        # values belong to the other pool
+        pool, other = gaussian_task(2, 20), gaussian_task(1, 20)
+        secret = gaussian_task(103, 6, role="secret_set")
+        det = DetectorConfig.from_pool(other)
+        with pytest.raises(DataError, match="kernel"):
+            self.solve(name, pool, secret, det, PoolKernel(other, det),
+                       learner_cfg)
 
     @pytest.mark.parametrize("name", ["uniform", "beam", "nlp"])
     def test_kernel_for_another_detector(self, learner_cfg, name):
@@ -589,6 +602,90 @@ class TestPenaltyPath:
         assert empirical_risk(sol.theta, secret) <= seed_risk + 1e-9
 
 
+def reference_scores(pool, secret, cfg, subsets, trainings=0):
+    """Score `subsets` in order, training each one with `train`, the way a
+    sequential loop charging one training each would: returns the best
+    indices, the best risk, the trajectory and the training count."""
+    best_idx, best_risk, trajectory = None, np.inf, []
+    for idx in subsets:
+        trainings += 1
+        risk = subset_risk(pool, idx, secret, cfg)
+        if risk < best_risk:
+            best_idx, best_risk = idx, risk
+            trajectory.append((trainings, risk))
+    return best_idx, best_risk, trajectory, trainings
+
+
+class TestBatchedScoring:
+    """Batched scoring reports what a loop training each subset would."""
+
+    @staticmethod
+    def assert_matches(report, reference, rejections):
+        best_idx, best_risk, trajectory, trainings = reference
+        assert report.best.indices == best_idx
+        assert report.trainings_used == trainings
+        assert report.feasibility_rejections == rejections
+        assert [c for c, _ in report.trajectory] == [c for c, _ in trajectory]
+        for (_, got), (_, want) in zip(report.trajectory, trajectory):
+            assert abs(got - want) <= 1e-12
+        assert abs(report.best.cached_risk - best_risk) <= 1e-12
+
+    @pytest.mark.parametrize("instance, B, dedup", [
+        ("tightened", 60, True), ("brute", 80, True), ("brute", 80, False)])
+    def test_uniform_matches_a_train_loop(self, learner_cfg, instance, B, dedup):
+        if instance == "tightened":
+            pool, secret, det, _ = tightened_instance()
+        else:
+            pool, secret, det = brute_instance()
+        m = 20 if instance == "tightened" else 3
+        report = solve_uniform(pool, secret, m, learner_cfg, det,
+                               SolverBudget(max_trainings=B), RngState(8),
+                               dedup=dedup)
+        kernel, rng = PoolKernel(pool, det), RngState(8)
+        subsets, draws, rejections = [], 0, 0
+        while len(subsets) < B and draws < solvers.DRAW_CAP_FACTOR * B:
+            draws += 1
+            idx = sample_subset(pool, m, rng).indices
+            if not kernel.feasible(idx):
+                rejections += 1
+            elif not (dedup and idx in subsets):
+                subsets.append(idx)
+        self.assert_matches(
+            report, reference_scores(pool, secret, learner_cfg, subsets), rejections)
+
+    def test_chunks_bound_the_batch(self, learner_cfg, monkeypatch):
+        # three subsets per train_batch call give the one-call report
+        pool, secret, det, _ = tightened_instance()
+        budget = SolverBudget(max_trainings=20)
+        whole = solve_uniform(pool, secret, 20, learner_cfg, det, budget,
+                              RngState(8))
+        sizes = []
+
+        def sized(X, y, cfg):
+            sizes.append(len(X))
+            return train_batch(X, y, cfg)
+
+        monkeypatch.setattr(solvers, "BATCH_VALUES", 3 * 20 * pool.dimension)
+        monkeypatch.setattr(solvers, "train_batch", sized)
+        chunked = solve_uniform(pool, secret, 20, learner_cfg, det, budget,
+                                RngState(8))
+        assert sizes == [3] * 6 + [2]
+        assert chunked.to_dict() == whole.to_dict()
+
+    def test_rounding_matches_a_train_loop(self, learner_cfg):
+        pool, secret, det, seed_set = tightened_instance()
+        run = scorer(pool, secret, 20, learner_cfg, det)
+        sol = solve_relaxed(run, seed_set, cap=30)
+        relaxed, rejected = run.trainings, run.rejections
+        report = round_relaxed(run, sol, seed_set)
+        kernel = PoolKernel(pool, det)
+        candidates = rounding_candidates(sol.b, seed_set.indices, len(pool), 20)
+        feasible = [c for c in candidates if kernel.feasible(c)]
+        reference = reference_scores(pool, secret, learner_cfg, feasible, relaxed)
+        self.assert_matches(report, reference,
+                            rejected + len(candidates) - len(feasible))
+
+
 class TestAccounting:
     """Report counters against counts taken around the detector check and
     the learner."""
@@ -612,8 +709,13 @@ class TestAccounting:
             trainings.append(1)
             return train(*args, **kwargs)
 
+        def trained_batch(X, y, cfg):
+            trainings.extend([1] * len(X))
+            return train_batch(X, y, cfg)
+
         monkeypatch.setattr(PoolKernel, "feasible", audited)
         monkeypatch.setattr(solvers, "train", trained)
+        monkeypatch.setattr(solvers, "train_batch", trained_batch)
         return answers, trainings
 
     budget = SolverBudget(max_trainings=40, restarts=2, beam_width=4,

@@ -147,19 +147,15 @@ def train(view: WeightedTrainingView, cfg: LearnerConfig) -> ModelParams:
     """
     X, y, b = view.pool.X, view.pool.y.astype(np.float64), view.weights
     lam = cfg.lam
-    d = X.shape[1]
-    theta = np.zeros(d)
-    eye = np.eye(d)
+    eye = np.eye(X.shape[1])
 
-    def probabilities(t):
-        return expit(-_margins(t, X, y))
+    def state(t):
+        p = expit(-_margins(t, X, y))
+        grad = X.T @ (-(b * y * p)) + lam * t
+        return p, grad, float(np.linalg.norm(grad))
 
-    def gradient_from(t, p):
-        return X.T @ (-(b * y * p)) + lam * t
-
-    p = probabilities(theta)
-    grad = gradient_from(theta, p)
-    residual = float(np.linalg.norm(grad))
+    theta = np.zeros(X.shape[1])
+    p, grad, residual = state(theta)
     for _ in range(cfg.max_iter):
         if residual <= cfg.tol:
             return ModelParams(theta)
@@ -171,17 +167,11 @@ def train(view: WeightedTrainingView, cfg: LearnerConfig) -> ModelParams:
         # in the quadratic regime, where objective differences fall below
         # float resolution and an Armijo test would stall)
         cand = theta - direction
-        cand_p = probabilities(cand)
-        cand_grad = gradient_from(cand, cand_p)
-        cand_residual = float(np.linalg.norm(cand_grad))
-        if cand_residual < residual:
-            theta, p, grad, residual = cand, cand_p, cand_grad, cand_residual
-            continue
-
-        theta = _backtrack(theta, direction, grad, X, y, b, lam)
-        p = probabilities(theta)
-        grad = gradient_from(theta, p)
-        residual = float(np.linalg.norm(grad))
+        cand_state = state(cand)
+        if not cand_state[2] < residual:
+            cand = _backtrack(theta, direction, grad, X, y, b, lam)
+            cand_state = state(cand)
+        theta, (p, grad, residual) = cand, cand_state
 
     if residual <= cfg.tol:
         return ModelParams(theta)
@@ -197,49 +187,43 @@ def train_batch(X: np.ndarray, y: np.ndarray, cfg: LearnerConfig) -> np.ndarray:
     X has shape (B, m, d) and y shape (B, m); returns the (B, d) minimizers.
     Runs train's method on all rows at once: each row starts from zero,
     takes its full Newton step whenever that shrinks its residual and
-    otherwise train's Armijo backtracking, and stops once its own residual
-    is within cfg.tol. Raises TrainingError carrying the largest residual
-    if any row is still above cfg.tol after cfg.max_iter steps.
+    otherwise train's Armijo backtracking. A row whose residual is within
+    cfg.tol is left unchanged from then on, so each row ends exactly where
+    a batch of that row alone ends. Raises TrainingError carrying the
+    largest residual if any row is still above cfg.tol after cfg.max_iter
+    steps.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    Xt = np.swapaxes(X, 1, 2)
     lam = cfg.lam
     eye = np.eye(X.shape[2])
     ones = np.ones(X.shape[1])
 
-    def probabilities(t, Xs, ys):
-        return expit(-(ys * (Xs @ t[:, :, None])[:, :, 0]))
-
-    def gradient_from(t, Xs, ys, p):
-        return (np.swapaxes(Xs, 1, 2) @ (-(ys * p))[:, :, None])[:, :, 0] + lam * t
+    def state(t):
+        p = expit(-(y * (X @ t[:, :, None])[:, :, 0]))
+        grad = (Xt @ (-(y * p))[:, :, None])[:, :, 0] + lam * t
+        return p, grad, np.linalg.norm(grad, axis=1, keepdims=True)
 
     theta = np.zeros((X.shape[0], X.shape[2]))
-    p = probabilities(theta, X, y)
-    grad = gradient_from(theta, X, y, p)
-    residual = np.linalg.norm(grad, axis=1)
+    p, grad, residual = state(theta)
     for _ in range(cfg.max_iter):
-        rows = np.flatnonzero(~(residual <= cfg.tol))  # NaN stays active
-        if rows.size == 0:
+        active = ~(residual <= cfg.tol)  # (B, 1); a NaN row stays active
+        if not active.any():
             return theta
-        Xs, ys, t, g, ps = X[rows], y[rows], theta[rows], grad[rows], p[rows]
-        w = ps * (1.0 - ps)
-        hess = (np.swapaxes(Xs, 1, 2) * w[:, None, :]) @ Xs + lam * eye
-        direction = np.linalg.solve(hess, g[:, :, None])[:, :, 0]
+        hess = (Xt * (p * (1.0 - p))[:, None, :]) @ X + lam * eye
+        direction = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
 
-        cand = t - direction
-        cand_p = probabilities(cand, Xs, ys)
-        cand_grad = gradient_from(cand, Xs, ys, cand_p)
-        cand_residual = np.linalg.norm(cand_grad, axis=1)
-        damped = np.flatnonzero(~(cand_residual < residual[rows]))
+        cand = theta - direction
+        cand_state = state(cand)
+        damped = np.flatnonzero(active & ~(cand_state[2] < residual))
+        for k in damped:
+            cand[k] = _backtrack(theta[k], direction[k], grad[k], X[k], y[k], ones, lam)
         if damped.size:
-            for k in damped:
-                cand[k] = _backtrack(t[k], direction[k], g[k], Xs[k], ys[k], ones, lam)
-            cand_p[damped] = probabilities(cand[damped], Xs[damped], ys[damped])
-            cand_grad[damped] = gradient_from(
-                cand[damped], Xs[damped], ys[damped], cand_p[damped])
-            cand_residual[damped] = np.linalg.norm(cand_grad[damped], axis=1)
-        theta[rows], p[rows], grad[rows] = cand, cand_p, cand_grad
-        residual[rows] = cand_residual
+            cand_state = state(cand)
+        theta, p, grad, residual = (
+            np.where(active, new, old)
+            for new, old in zip((cand, *cand_state), (theta, p, grad, residual)))
 
     if np.all(residual <= cfg.tol):
         return theta

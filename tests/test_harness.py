@@ -414,6 +414,9 @@ class TestRunExperiment:
         ("label_map", {"1": 1.0, "-1": -1}),
         ("label_map", {"1": True, "-1": -1}),
         ("label_map", [["1", 1], ["-1", -1]]),
+        # file labels are matched as text, so int keys failed the load
+        # stage, while the manifest's string keys replayed to completion
+        ("label_map", {1: 1, -1: -1}),
     ])
     def test_config_rejects_non_integer_counts(self, tmp_path, where, value):
         # counts, seed, alpha and flags are taken as given, never truncated

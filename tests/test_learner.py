@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -255,6 +256,36 @@ class TestTrainBatch:
         assert calls  # the Armijo backtracking ran inside the batch
         gaps = np.linalg.norm(got - train_rows(X, y, cfg), axis=1)
         assert np.all(gaps <= 2.0 * cfg.tol / cfg.lam)
+
+    def test_rows_are_independent_and_frozen_once_converged(self):
+        # an ordinary row, the damped row, a single-class row and a row of
+        # duplicates: each row of the batch is exactly the row trained alone
+        X_damped, y_damped, cfg = damped_instance()
+        gen = RngState(29).generator
+        duplicates = np.repeat(gen.standard_normal((2, 3)), [4, 2], axis=0)
+        X = np.stack([gen.standard_normal((6, 3)), X_damped,
+                      gen.standard_normal((6, 3)), duplicates])
+        y = np.stack([y_damped, y_damped, np.ones(6, int), [1, -1, 1, 1, -1, -1]])
+        got = learner.train_batch(X, y, cfg)
+        for k in range(len(X)):
+            alone = learner.train_batch(X[k:k + 1], y[k:k + 1], cfg)[0]
+            assert np.array_equal(got[k], alone)
+        gaps = np.linalg.norm(got - train_rows(X, y, cfg), axis=1)
+        assert np.all(gaps <= 2.0 * cfg.tol / cfg.lam)
+
+        # the rows converge after different numbers of steps, so the rows
+        # that finish first sat unchanged through the batch's later steps
+        def steps(k):
+            for max_iter in range(1, cfg.max_iter + 1):
+                short = replace(cfg, max_iter=max_iter)
+                try:
+                    learner.train_batch(X[k:k + 1], y[k:k + 1], short)
+                except TrainingError:
+                    continue
+                return max_iter
+
+        counts = [steps(k) for k in range(len(X))]
+        assert min(counts) < max(counts)
 
     def test_nonconvergence_carries_residual(self):
         cfg = LearnerConfig(lam=1.0, tol=1e-14, max_iter=1)

@@ -461,18 +461,23 @@ class TestRounding:
         assert cands == [(0, 1), (0, 2), (2, 3)]
 
     def test_count_and_membership(self):
+        # m at most n/2 and above it; b continuous, tied on three levels,
+        # or the indicator of an m-subset
         gen = RngState(91).generator
         for _ in range(20):
             n = int(gen.integers(6, 16))
-            m = int(gen.integers(1, n // 2 + 1))
-            seed = tuple(np.sort(gen.choice(n, size=m, replace=False)))
-            b = gen.uniform(0, 1, size=n)
-            cands = rounding_candidates(b, seed, n, m)
-            assert len(cands) == m + 1
-            assert cands[0] == seed
-            top_m = tuple(sorted(sorted(range(n), key=lambda i: (-b[i], i))[:m]))
-            assert top_m in cands
-            assert len(set(cands)) == len(cands)
+            for m in (int(gen.integers(1, n // 2 + 1)), int(gen.integers(n // 2 + 1, n))):
+                seed = tuple(np.sort(gen.choice(n, size=m, replace=False)))
+                indicator = np.zeros(n)
+                indicator[gen.choice(n, size=m, replace=False)] = 1.0
+                for b in (gen.uniform(0, 1, size=n), gen.integers(0, 3, size=n) / 2.0,
+                          indicator):
+                    cands = rounding_candidates(b, seed, n, m)
+                    assert len(cands) == min(m, n - m) + 1
+                    assert cands[0] == seed
+                    top_m = tuple(sorted(sorted(range(n), key=lambda i: (-b[i], i))[:m]))
+                    assert top_m in cands
+                    assert len(set(cands)) == len(cands)
 
     def test_returned_no_worse_than_seed(self, learner_cfg):
         pool, secret, det = relaxed_instance(seed=221)

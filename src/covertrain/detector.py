@@ -94,14 +94,21 @@ def median_heuristic_sigma(pool: Dataset, c: float) -> float:
 
     All n(n-1)/2 pairs enter, zero distances from duplicates included; an
     even pair count takes the mean of the two central order statistics
-    (plain median). Errors out when every pairwise distance is zero.
+    (plain median, bit-identical to np.median). Errors out when every
+    pairwise distance is zero.
     """
     if len(pool) < 2:
         raise DetectorError("median heuristic needs at least two points")
     dists = pdist(augment(pool.X, pool.y, c))
     if float(dists.max()) == 0.0:
         raise DetectorError("degenerate pool: all pairwise distances are zero")
-    return float(np.median(dists))
+    # np.median's own expression, on one in-place partition instead of a
+    # partitioned copy: part[:k].max() is the (k-1)-th order statistic.
+    k = dists.size // 2
+    dists.partition(k)
+    if dists.size % 2:
+        return float(dists[k])
+    return float(np.mean([dists[:k].max(), dists[k]]))
 
 
 @dataclass(frozen=True)
@@ -206,7 +213,7 @@ def weighted_mmd(pool_augmented: np.ndarray, b: np.ndarray, cfg: DetectorConfig)
     """
     K = gram(pool_augmented, pool_augmented, cfg.sigma)
     b = _check_weights(b, K.shape[0])
-    return _weighted_mmd(b, K @ b, *_pool_sums(K))
+    return _weighted_mmd(b, _support_product(K, b), *_pool_sums(K))
 
 
 def _pool_sums(K: np.ndarray) -> tuple[np.ndarray, float]:
@@ -228,6 +235,33 @@ def _check_weights(b, n: int) -> np.ndarray:
     return b
 
 
+# Bytes of K's rows gathered at once by `_support_product`.
+_GATHER_BYTES = 1 << 23
+
+
+def _support_product(K: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K @ b for a symmetric K, as b[S] @ K[S] over the support S of b.
+
+    Costs O(|S| n) instead of O(n^2). Every nonzero weight is in S, the
+    slightly negative ones that `_check_weights` allows included. K's rows
+    are gathered in blocks of at most `_GATHER_BYTES`, so a dense b never
+    copies K whole. A block of consecutive indices lo..hi-1 takes the view
+    K[:, lo:hi] instead, so a b with no zero at n <= 1024 gets K @ b itself.
+    """
+    n = K.shape[0]
+    support = np.flatnonzero(b)
+    step = max(1, _GATHER_BYTES // (8 * n))
+    Kb = np.zeros(n)
+    for start in range(0, support.size, step):
+        rows = support[start:start + step]
+        lo, hi = rows[0], rows[-1] + 1
+        if hi - lo == rows.size:
+            Kb += K[:, lo:hi] @ b[lo:hi]
+        else:
+            Kb += b[rows] @ K[rows]
+    return Kb
+
+
 def _weighted_mmd(
     b: np.ndarray, Kb: np.ndarray, row_sums: np.ndarray, pool_term: float
 ) -> float:
@@ -245,7 +279,7 @@ class PoolKernel:
 
     The (n, n) kernel matrix over the augmented pool is computed once and
     shared read-only, so a candidate's MMD costs O(nm + m^2) and the
-    weighted variant O(n^2). All methods are pure.
+    weighted variant and its gradient O(|supp b| n). All methods are pure.
     """
 
     def __init__(self, pool: Dataset, cfg: DetectorConfig):
@@ -283,7 +317,8 @@ class PoolKernel:
 
     def weighted(self, b: np.ndarray) -> float:
         b = _check_weights(b, self.n)
-        return _weighted_mmd(b, self.K @ b, self._row_sums, self._pool_term)
+        return _weighted_mmd(b, _support_product(self.K, b), self._row_sums,
+                             self._pool_term)
 
     def weighted_grad(self, b: np.ndarray) -> np.ndarray:
         """Gradient of the weighted MMD w.r.t. b (zero where the radicand
@@ -291,7 +326,7 @@ class PoolKernel:
         b = _check_weights(b, self.n)
         s = float(b.sum())
         r = self._row_sums
-        Kb = self.K @ b
+        Kb = _support_product(self.K, b)
         P = float(b @ r)
         Q = float(b @ Kb)
         value = _weighted_mmd(b, Kb, r, self._pool_term)

@@ -4,13 +4,14 @@ the weighted variant used by the relaxation."""
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 import covertrain.detector as detector
 from covertrain import (
@@ -110,6 +111,24 @@ class TestCalibrationConstants:
         ds = make_dataset([[0.0], [1.0]], [1, -1])
         with pytest.raises(DetectorError):
             label_scale(ds)
+
+    def test_constant_features_are_a_degenerate_pool(self):
+        # both classes at one point: c = 0, so every augmented distance is 0
+        ds = make_dataset(np.full((6, 2), 0.5), [1, 1, 1, -1, -1, -1])
+        assert label_scale(ds) == 0.0
+        with pytest.raises(DetectorError, match="degenerate pool"):
+            DetectorConfig.from_pool(ds)
+
+    def test_one_constant_column_calibrates_normally(self):
+        pool = gaussian_task(3, 15)
+        widened = make_dataset(np.insert(pool.X, 1, 7.0, axis=1), pool.y)
+        base, cfg = DetectorConfig.from_pool(pool), DetectorConfig.from_pool(widened)
+        # a constant column adds exact zeros to every squared distance
+        assert cfg.label_scale_c == pytest.approx(base.label_scale_c, rel=1e-12)
+        assert cfg.sigma == pytest.approx(base.sigma, rel=1e-12)
+        kernel = PoolKernel(widened, cfg)
+        assert kernel.psi_indices(range(10)) == pytest.approx(
+            psi(widened, CandidateSet(tuple(range(10))), cfg).psi, abs=1e-12)
 
 
 class TestMmd:
@@ -266,6 +285,27 @@ class TestWeightedMmd:
             fd = (kernel.weighted(bp) - kernel.weighted(bm)) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
+    @settings(deadline=None)
+    @given(st.sets(st.integers(0, 19), min_size=1, max_size=8),
+           st.integers(0, 2 ** 32 - 1))
+    def test_gradient_matches_finite_differences_at_sparse_b(self, support, seed):
+        pool = gaussian_task(16, 10)
+        kernel = PoolKernel(pool, DetectorConfig.from_pool(pool))
+        b = np.zeros(len(pool))
+        idx = sorted(support)
+        b[idx] = RngState(seed).generator.uniform(0.2, 0.8, size=len(idx))
+        grad = kernel.weighted_grad(b)
+        h = 1e-5  # rounding in each MMD value stays far below h * 1e-5
+        for i in range(len(pool)):
+            step = np.zeros(len(pool))
+            step[i] = h
+            if b[i] > 0.0:  # central differences
+                fd = (kernel.weighted(b + step) - kernel.weighted(b - step)) / (2 * h)
+            else:  # b_i = 0 is a bound: second-order one-sided differences
+                fd = (-3.0 * kernel.weighted(b) + 4.0 * kernel.weighted(b + step)
+                      - kernel.weighted(b + 2.0 * step)) / (2 * h)
+            assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
 
 class TestPoolKernel:
     def test_subset_mmd_matches_standalone(self):
@@ -328,7 +368,82 @@ def _pools(draw, max_n=20):
     return make_dataset(X, y), cfg
 
 
+@st.composite
+def _sparse_weights(draw, n):
+    """Weights in [-1e-12, 1] on a drawn support of 1 to n indices: one
+    anchor in [0.5, 1] keeps the sum positive, the others mix regular
+    weights, weights near 1e-300 and the slightly negative weights that
+    `_check_weights` allows."""
+    support = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    b = np.zeros(n)
+    b[support[0]] = draw(st.floats(0.5, 1.0))
+    for i in support[1:]:
+        b[i] = draw(st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True),
+            st.floats(1e-300, 1e-298),
+            st.floats(-1e-12, 0.0, exclude_max=True),
+        ))
+    return b
+
+
+def _dense_weighted(K, b):
+    """Weighted MMD from the dense product K @ b, and the four terms whose
+    sum is its radicand's gradient."""
+    n = K.shape[0]
+    r = K.sum(axis=1)
+    s = float(b.sum())
+    Kb = K @ b
+    P, Q = float(b @ r), float(b @ Kb)
+    value = math.sqrt(max(float(r.sum()) / (n * n) - 2 * P / (n * s) + Q / (s * s), 0.0))
+    terms = (-2 * r / (n * s), 2 * P / (n * s * s), 2 * Kb / (s * s), -2 * Q / s ** 3)
+    return value, terms
+
+
 class TestProperties:
+    @settings(deadline=None)
+    @given(_pools())
+    def test_kernel_is_exactly_symmetric(self, pool_cfg):
+        K = PoolKernel(*pool_cfg).K
+        assert np.array_equal(K, K.T)
+
+    @settings(deadline=None)
+    @given(st.data(), _pools())
+    def test_support_product_matches_dense_formula(self, data, pool_cfg):
+        pool, cfg = pool_cfg
+        kernel = PoolKernel(pool, cfg)
+        K = kernel.K
+        b = data.draw(_sparse_weights(len(pool)))
+        # blocks of 1 to n rows, so gathered and consecutive blocks both occur
+        rows = data.draw(st.integers(1, len(pool)))
+        with mock.patch.object(detector, "_GATHER_BYTES", 8 * len(pool) * rows):
+            Kb = detector._support_product(K, b)
+        # the rounding bound of a length-n dot product, far above n * eps
+        assert np.all(np.abs(Kb - K @ b) <= 1e-12 * (K @ np.abs(b)))
+        value, terms = _dense_weighted(K, b)
+        weighted = kernel.weighted(b)
+        assert abs(weighted ** 2 - value ** 2) <= 1e-13
+        if value >= 1e-2:  # away from 0, where the square root magnifies
+            assert abs(weighted - value) <= 1e-12 * value
+            # relative to the largest term the gradient sums
+            scale = max(float(np.abs(t).max()) for t in terms) / (2 * value)
+            grad = sum(terms) / (2 * value)
+            assert np.all(np.abs(kernel.weighted_grad(b) - grad) <= 1e-12 * scale)
+
+    @settings(deadline=None)
+    @given(st.data(), st.integers(2, 12), st.booleans(), st.floats(0.0, 5.0))
+    def test_median_sigma_equals_numpy_median(self, data, n, duplicates, c):
+        # n(n-1)/2 pairs is odd for n = 2, 3, 6, 7, 10, 11 and even otherwise
+        coords = st.sampled_from([-1.0, 0.0, 2.5]) if duplicates else _coords
+        X = data.draw(arrays(np.float64, (n, 2), elements=coords))
+        y = data.draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+        ds = make_dataset(X, y)
+        dists = pdist(augment(ds.X, ds.y, c))
+        if dists.max() == 0.0:
+            with pytest.raises(DetectorError, match="degenerate pool"):
+                median_heuristic_sigma(ds, c)
+        else:
+            assert median_heuristic_sigma(ds, c) == float(np.median(dists))
+
     @settings(deadline=None)
     @given(st.data(), st.integers(1, 3), _sigmas)
     def test_gram_equals_textbook_expression(self, data, d, sigma):

@@ -16,6 +16,7 @@ from covertrain import (
     DataError,
     Dataset,
     DetectorConfig,
+    DetectorError,
     EvaluationRow,
     ExperimentConfig,
     LearnerConfig,
@@ -25,6 +26,7 @@ from covertrain import (
     SolverError,
     SolverReport,
     StageError,
+    load_dataset,
     oracle_baseline,
     random_baseline,
     rerun_from_manifest,
@@ -368,6 +370,20 @@ class TestRunExperiment:
         manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
         assert manifest["failed_stage"] == "load"
         assert "error" in manifest
+
+    def test_constant_feature_pool_fails_at_select_cover(self, tmp_path):
+        paths = write_task_files(tmp_path)
+        cover = load_dataset(paths["cover"])
+        save_dataset(Dataset(np.full_like(cover.X, 0.5), cover.y, role=cover.role),
+                     paths["cover"])
+        cfg = base_config(tmp_path, paths)
+        with pytest.raises(StageError) as err:
+            run_experiment(cfg)
+        assert err.value.stage == "select_cover"
+        assert isinstance(err.value.cause, DetectorError)
+        assert "degenerate pool" in str(err.value.cause)
+        manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "select_cover"
 
     def test_config_json_roundtrip(self, tmp_path):
         paths = write_task_files(tmp_path)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,12 +48,72 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+# Worker threads for the O(n^2) passes; they start on the first submit. The
+# work runs in scipy and numpy kernels that release the GIL.
+_WORKERS = _cpu_count()
+
+
+def _start_executor() -> None:
+    """Give the process its own executor. A forked child inherits the
+    parent's executor but not its threads, so a task it submitted there
+    would wait forever; it starts a fresh one instead."""
+    global _EXECUTOR
+    _EXECUTOR = ThreadPoolExecutor(max_workers=_WORKERS,
+                                   thread_name_prefix="covertrain-detector")
+
+
+_start_executor()
+os.register_at_fork(after_in_child=_start_executor)
+
+# Entries (kernel values, distances or summands) each worker task computes
+# at least: work below two tasks' worth, such as a 200-point pool's, stays
+# on the calling thread, where a submit would cost more than it saves.
+_TASK_ENTRIES = 1 << 18
+
+
+def _in_row_blocks(task, row_cost: np.ndarray) -> None:
+    """Call task(lo, hi) on consecutive row blocks that cover every row.
+
+    row_cost[i] is the number of entries row i computes. The rows split into
+    blocks of about equal cost, at most one per worker and at most one per
+    `_TASK_ENTRIES` entries, run on the executor; a single block runs on the
+    calling thread. Each task writes only its own block's part of the
+    result, so the result does not depend on the split. A task must not
+    submit to the executor itself: with every worker waiting on it, its own
+    tasks would never run.
+    """
+    rows = row_cost.shape[0]
+    total = int(row_cost.sum())
+    count = min(_WORKERS, rows, total // _TASK_ENTRIES)
+    if count < 2:
+        task(0, rows)
+        return
+    cum = np.cumsum(row_cost)
+    inner = np.searchsorted(cum, total * np.arange(1, count) / count) + 1
+    edges = np.unique(np.concatenate(([0], inner, [rows])))
+    futures = [_EXECUTOR.submit(task, lo, hi)
+               for lo, hi in zip(edges[:-1], edges[1:])]
+    for future in futures:
+        future.result()
+
+
 def gram(Z1: np.ndarray, Z2: np.ndarray, sigma: float) -> np.ndarray:
     """Kernel matrix between two point sets, shape (len(Z1), len(Z2)).
 
-    The float64 result is built in place in the distance matrix, so the
-    peak is one matrix of len(Z1) * len(Z2) * 8 bytes. A result larger than
-    physical memory raises DetectorError before anything is allocated.
+    The float64 result is built in place, in row blocks on the worker
+    threads once it is large (`_in_row_blocks`); every entry is
+    exp(-|z1 - z2|^2 / (2 sigma^2)) with the same bits however the rows are
+    split. The peak is one matrix of len(Z1) * len(Z2) * 8 bytes. A result
+    larger than physical memory raises DetectorError before anything is
+    allocated.
     """
     if sigma <= 0:
         raise DetectorError("sigma must be positive")
@@ -66,10 +127,42 @@ def gram(Z1: np.ndarray, Z2: np.ndarray, sigma: float) -> np.ndarray:
             f"{rows}x{cols} Gram matrix needs {needed} bytes, more than the "
             f"{available} bytes of physical memory"
         )
-    K = cdist(Z1, Z2, "sqeuclidean")
-    np.negative(K, out=K)
-    np.divide(K, 2.0 * sigma * sigma, out=K)
-    return np.exp(K, out=K)
+    K = np.empty((rows, cols))
+    # Dividing by -2 sigma^2 gives the bits of negating, then dividing by
+    # 2 sigma^2, in one pass.
+    scale = -2.0 * sigma * sigma
+
+    def block(lo, hi):
+        part = K[lo:hi]
+        cdist(Z1[lo:hi], Z2, "sqeuclidean", out=part)
+        np.divide(part, scale, out=part)
+        np.exp(part, out=part)
+
+    _in_row_blocks(block, np.full(rows, cols))
+    return K
+
+
+def _pair_distances(P: np.ndarray) -> np.ndarray:
+    """Euclidean distances of all n(n-1)/2 pairs of rows of P.
+
+    These are pdist(P)'s values in another order: each row block fills the
+    stretch pdist gives its pairs with its own pdist, then its cdist to the
+    rows after it. Statistics that do not depend on order (max, median) get
+    the same bits from every split.
+    """
+    n = P.shape[0]
+    out = np.empty(n * (n - 1) // 2)
+
+    def block(lo, hi):
+        start = lo * n - lo * (lo + 1) // 2  # pairs of the rows before lo
+        k = hi - lo
+        within = k * (k - 1) // 2
+        pdist(P[lo:hi], out=out[start:start + within])
+        cross = out[start + within:start + within + k * (n - hi)]
+        cdist(P[lo:hi], P[hi:], out=cross.reshape(k, n - hi))
+
+    _in_row_blocks(block, n - 1 - np.arange(n))
+    return out
 
 
 def label_scale(pool: Dataset) -> float:
@@ -82,7 +175,7 @@ def label_scale(pool: Dataset) -> float:
     for sign in (-1, 1):
         pts = pool.X[pool.y == sign]
         if pts.shape[0] >= 2:
-            dmax = float(pdist(pts).max())
+            dmax = float(_pair_distances(pts).max())
             best = dmax if best is None else max(best, dmax)
     if best is None:
         raise DetectorError("no class has two members; label scale undefined")
@@ -99,7 +192,7 @@ def median_heuristic_sigma(pool: Dataset, c: float) -> float:
     """
     if len(pool) < 2:
         raise DetectorError("median heuristic needs at least two points")
-    dists = pdist(augment(pool.X, pool.y, c))
+    dists = _pair_distances(augment(pool.X, pool.y, c))
     if float(dists.max()) == 0.0:
         raise DetectorError("degenerate pool: all pairwise distances are zero")
     # np.median's own expression, on one in-place partition instead of a
@@ -218,9 +311,15 @@ def weighted_mmd(pool_augmented: np.ndarray, b: np.ndarray, cfg: DetectorConfig)
 
 def _pool_sums(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Row sums of a pool Gram matrix, and their total over n^2 (the
-    weight-free first term of the MMD radicand)."""
-    row_sums = K.sum(axis=1)
+    weight-free first term of the MMD radicand). Each row reduces as in
+    K.sum(axis=1), in row blocks on the worker threads for a large K."""
     n = K.shape[0]
+    row_sums = np.empty(n)
+
+    def block(lo, hi):
+        np.sum(K[lo:hi], axis=1, out=row_sums[lo:hi])
+
+    _in_row_blocks(block, np.full(n, n))
     return row_sums, float(row_sums.sum()) / (n * n)
 
 
@@ -230,8 +329,12 @@ def _check_weights(b, n: int) -> np.ndarray:
         raise DetectorError(f"{b.shape[0]} weights for pool of {n}")
     if b.min() < -1e-12 or b.max() > 1 + 1e-12:
         raise DetectorError("weights must lie in [0, 1]")
-    if float(b.sum()) <= 0:
+    s = float(b.sum())
+    if s <= 0:
         raise DetectorError("weights must have positive sum")
+    # The weighted MMD divides by s^2 and its gradient by s^3.
+    if s ** 3 < np.finfo(np.float64).tiny:
+        raise DetectorError(f"weights sum to {s:.3g}, too small to normalise by")
     return b
 
 
@@ -277,9 +380,11 @@ def _weighted_mmd(
 class PoolKernel:
     """Precomputed Gram machinery for one pool under one detector config.
 
-    The (n, n) kernel matrix over the augmented pool is computed once and
-    shared read-only, so a candidate's MMD costs O(nm + m^2) and the
-    weighted variant and its gradient O(|supp b| n). All methods are pure.
+    The (n, n) kernel matrix over the augmented pool and its row sums are
+    computed once, in row blocks on the worker threads for a large pool
+    (bit-identical to one pass), and shared read-only, so a candidate's MMD
+    costs O(nm + m^2) and the weighted variant and its gradient
+    O(|supp b| n). All methods are pure.
     """
 
     def __init__(self, pool: Dataset, cfg: DetectorConfig):

@@ -389,23 +389,36 @@ def solve_beam(
 def project_capped_simplex(v: np.ndarray, total: float) -> np.ndarray:
     """Euclidean projection onto {b : 0 <= b_i <= 1, sum(b) = total}.
 
-    Bisection on the shift tau in clip(v - tau, 0, 1), whose sum is
-    continuous and nonincreasing in tau. Always succeeds for
-    0 <= total <= len(v).
+    The projection is clip(v - tau, 0, 1) at the shift tau where its sum is
+    `total` (Wang & Lu, arXiv:1503.01002). That sum is continuous,
+    nonincreasing and linear in tau between the 2n breakpoints v_i - 1 and
+    v_i. A binary search over the sorted breakpoints finds the segment
+    holding `total`, and tau is solved for on it: O(n log n), exact up to
+    rounding. Always succeeds for 0 <= total <= len(v).
     """
     v = np.asarray(v, dtype=np.float64)
     n = v.shape[0]
     if total < 0 or total > n:
         raise DataError(f"target sum {total} out of range for {n} weights")
-    lo = float(v.min()) - 1.0
-    hi = float(v.max())
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if np.clip(v - mid, 0.0, 1.0).sum() > total:
+    knots = np.sort(np.concatenate([v - 1.0, v]))
+    # The sum is n at the first knot, v.min() - 1, and 0 at the last,
+    # v.max(); the search keeps it above total at knots[lo] and at most
+    # total at knots[hi].
+    lo, hi = 0, knots.size - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if np.clip(v - knots[mid], 0.0, 1.0).sum() > total:
             lo = mid
         else:
             hi = mid
-    return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
+    # On the open segment each coordinate is at 1, at 0 or in between.
+    t = 0.5 * (knots[lo] + knots[hi])
+    ones = v - 1.0 >= t
+    free = (v > t) & ~ones
+    if free.any():
+        excess = np.count_nonzero(ones) + float(v[free].sum()) - total
+        t = min(max(excess / np.count_nonzero(free), knots[lo]), knots[hi])
+    return np.clip(v - t, 0.0, 1.0)
 
 
 def solve_relaxed(

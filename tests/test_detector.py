@@ -4,6 +4,12 @@ the weighted variant used by the relaxation."""
 from __future__ import annotations
 
 import math
+import os
+import signal
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -258,6 +264,23 @@ class TestWeightedMmd:
         with pytest.raises(DetectorError):
             weighted_mmd(augment(ds.X, ds.y, 0.0), np.zeros(2), cfg)
 
+    def test_rejects_weights_too_small_to_normalise(self):
+        pool = gaussian_task(11, 5)
+        cfg = DetectorConfig.from_pool(pool)
+        kernel = PoolKernel(pool, cfg)
+        Z = augment(pool.X, pool.y, cfg.label_scale_c)
+        b = np.zeros(len(pool))
+        b[3] = 1e-170  # its square underflows to 0
+        for call in (kernel.weighted, kernel.weighted_grad,
+                     lambda b: weighted_mmd(Z, b, cfg)):
+            with pytest.raises(DetectorError, match="too small to normalise"):
+                call(b)
+        # a small sum whose cube is a normal float still scales away
+        b[3] = 1e-100
+        one = np.zeros(len(pool))
+        one[3] = 1.0
+        assert kernel.weighted(b) == pytest.approx(kernel.weighted(one), rel=1e-12)
+
     def test_lipschitz_smoke(self):
         pool = gaussian_task(14, 20)
         cfg = DetectorConfig.from_pool(pool)
@@ -277,7 +300,7 @@ class TestWeightedMmd:
         gen = RngState(17).generator
         b = gen.uniform(0.2, 0.8, size=len(pool))
         grad = kernel.weighted_grad(b)
-        h = 1e-7
+        h = 1e-5  # each MMD value's rounding (about 2e-15) stays far below h * 1e-5
         for i in range(len(pool)):
             bp, bm = b.copy(), b.copy()
             bp[i] += h
@@ -477,6 +500,146 @@ class TestProperties:
         assert abs(weighted ** 2 - exact ** 2) <= 1e-13
         if exact >= 1e-2:
             assert abs(weighted - exact) <= 1e-12
+
+
+@st.composite
+def _block_pools(draw):
+    """Pools of 1 to 12 points for the row-block tests: free coordinates,
+    duplicate-heavy ones, and a single class (a constant label column)."""
+    n = draw(st.integers(1, 12))
+    coords = draw(st.sampled_from([_coords, st.sampled_from([-1.0, 0.0, 2.5])]))
+    X = draw(arrays(np.float64, (n, 2), elements=coords))
+    labels = draw(st.sampled_from([[-1, 1], [1]]))
+    y = draw(arrays(np.int64, n, elements=st.sampled_from(labels)))
+    return make_dataset(X, y)
+
+
+def _textbook_gram(Z1, Z2, sigma):
+    return np.exp(-cdist(Z1, Z2, "sqeuclidean") / (2.0 * sigma * sigma))
+
+
+def _or_error(call, *args):
+    """call(*args), or DetectorError when it raises one."""
+    try:
+        return call(*args)
+    except DetectorError:
+        return DetectorError
+
+
+class TestRowBlocks:
+    """The n x n passes split into row blocks on worker threads give the
+    bits of one-shot scipy and numpy, whatever the worker count."""
+
+    @settings(deadline=None)
+    @given(_block_pools(), st.sampled_from([2, 3]), _sigmas, st.floats(0.0, 5.0))
+    def test_block_path_equals_one_shot(self, pool, workers, sigma, c):
+        Z = augment(pool.X, pool.y, c)
+        submits = []
+        submit = detector._EXECUTOR.submit
+
+        def counting_submit(*args):
+            submits.append(args)
+            return submit(*args)
+
+        with mock.patch.object(detector, "_TASK_ENTRIES", 1), \
+                mock.patch.object(detector, "_WORKERS", workers), \
+                mock.patch.object(detector._EXECUTOR, "submit", counting_submit):
+            K = gram(Z, Z, sigma)
+            row_sums, pool_term = detector._pool_sums(K)
+            dists = detector._pair_distances(Z)
+            sigma_blocks = _or_error(median_heuristic_sigma, pool, c)
+            c_blocks = _or_error(label_scale, pool)
+        if len(pool) >= 2:  # n below the worker count included
+            assert submits
+        assert np.array_equal(K, _textbook_gram(Z, Z, sigma))
+        assert np.array_equal(row_sums, K.sum(axis=1))
+        assert pool_term == float(K.sum(axis=1).sum()) / len(pool) ** 2
+        one_shot = pdist(Z)
+        assert np.array_equal(np.sort(dists), np.sort(one_shot))
+        if one_shot.size and one_shot.max() > 0.0:
+            assert sigma_blocks == float(np.median(one_shot))
+        else:
+            assert sigma_blocks is DetectorError
+        maxima = [pdist(pool.X[pool.y == sign]).max()
+                  for sign in (-1, 1) if np.count_nonzero(pool.y == sign) >= 2]
+        assert c_blocks == (float(max(maxima)) if maxima else DetectorError)
+
+    def test_forked_child_runs_blocks(self):
+        # The child inherits the executor without its threads. Both of the
+        # parent's workers exist when it forks, so only the child's own
+        # executor can run the child's blocks.
+        Z = RngState(43).generator.standard_normal((9, 2))
+        executor = ThreadPoolExecutor(max_workers=2)
+        barrier = threading.Barrier(2)
+        try:
+            with mock.patch.object(detector, "_EXECUTOR", executor), \
+                    mock.patch.object(detector, "_WORKERS", 2), \
+                    mock.patch.object(detector, "_TASK_ENTRIES", 1):
+                waits = [executor.submit(barrier.wait, 30.0) for _ in range(2)]
+                for future in waits:
+                    future.result(timeout=30.0)
+                expected = gram(Z, Z, 1.0)
+                pid = os.fork()
+                if pid == 0:  # the child reports through its exit status only
+                    code = 1
+                    try:
+                        code = 0 if np.array_equal(gram(Z, Z, 1.0), expected) else 1
+                    finally:
+                        os._exit(code)
+        finally:
+            executor.shutdown(wait=False)
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                assert os.waitstatus_to_exitcode(status) == 0
+                return
+            time.sleep(0.05)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's gram did not finish in 20 s")
+
+    def test_more_workers_than_cores_under_fast_switching(self):
+        Z = RngState(47).generator.standard_normal((64, 3))
+        K_want, d_want = _textbook_gram(Z, Z, 1.3), np.sort(pdist(Z))
+        results = []
+
+        def run():
+            for _ in range(20):
+                K = gram(Z, Z, 1.3)
+                results.append(
+                    np.array_equal(K, K_want)
+                    and np.array_equal(detector._pool_sums(K)[0], K.sum(axis=1))
+                    and np.array_equal(np.sort(detector._pair_distances(Z)), d_want))
+
+        interval = sys.getswitchinterval()
+        executor = ThreadPoolExecutor(max_workers=8)
+        try:
+            sys.setswitchinterval(1e-6)
+            with mock.patch.object(detector, "_EXECUTOR", executor), \
+                    mock.patch.object(detector, "_WORKERS", 8), \
+                    mock.patch.object(detector, "_TASK_ENTRIES", 1):
+                thread = threading.Thread(target=run)
+                thread.start()
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            executor.shutdown(wait=False)
+        assert not thread.is_alive()
+        assert results == [True] * 20
+
+    def test_rectangular_blocks_and_small_work(self):
+        gen = RngState(41).generator
+        Z1, Z2 = gen.standard_normal((7, 3)), gen.standard_normal((5, 3))
+        with mock.patch.object(detector, "_TASK_ENTRIES", 1), \
+                mock.patch.object(detector, "_WORKERS", 3):
+            blocks = gram(Z1, Z2, 0.7)
+        assert np.array_equal(blocks, _textbook_gram(Z1, Z2, 0.7))
+        # below two tasks' worth of entries, no task leaves the calling thread
+        no_submit = mock.patch.object(detector._EXECUTOR, "submit",
+                                      side_effect=AssertionError)
+        with no_submit:
+            assert np.array_equal(gram(Z1, Z2, 0.7), blocks)
 
 
 def _mixture_sample(gen, size):

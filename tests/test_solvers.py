@@ -6,6 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import covertrain.solvers as solvers
 from covertrain import (
@@ -345,6 +348,54 @@ class TestProjection:
                 z = gen.uniform(0, 1, size=n)
                 z = project_capped_simplex(z, m)  # any feasible point
                 assert float((v - p) @ (z - p)) <= 1e-7
+
+    @settings(deadline=None)
+    @given(st.data(), st.integers(1, 40), st.booleans())
+    def test_kkt_and_bisection_reference(self, data, n, tied):
+        # tied: few distinct values, some exactly 1 apart, so breakpoints
+        # v_i and v_j - 1 coincide
+        values = (st.sampled_from([-1.0, 0.0, 0.25, 1.0, 2.0]) if tied
+                  else st.floats(-5.0, 5.0))
+        v = data.draw(arrays(np.float64, n, elements=values))
+        total = data.draw(st.one_of(st.just(0.0), st.just(float(n)),
+                                    st.integers(0, n).map(float),
+                                    st.floats(0.0, float(n))))
+        p = project_capped_simplex(v, total)
+        assert p.min() >= 0.0 and p.max() <= 1.0
+        assert abs(p.sum() - total) <= 1e-12 * max(n, 1)
+        # KKT: p = clip(v - tau, 0, 1) for one tau, so tau = v_i - p_i on the
+        # free coordinates, v_i <= tau where p_i = 0 and v_i - 1 >= tau
+        # where p_i = 1
+        tol = 1e-12 * (1.0 + float(np.abs(v).max()))
+        zeros, ones = p == 0.0, p == 1.0
+        low = float(v[zeros].max()) if zeros.any() else -np.inf
+        high = float((v[ones] - 1.0).min()) if ones.any() else np.inf
+        assert low <= high + tol
+        free = ~(zeros | ones)
+        if free.any():
+            tau = v[free] - p[free]
+            assert float(np.ptp(tau)) <= tol
+            assert low - tol <= tau.min() and tau.max() <= high + tol
+        assert np.allclose(p, bisection_projection(v, total), rtol=0.0, atol=1e-12)
+
+    def test_bisection_reference_agrees_at_scale(self):
+        gen = RngState(75).generator
+        for n, total in ((200, 20.0), (3000, 50.0), (3000, 2999.5)):
+            v = gen.uniform(-0.5, 1.5, size=n)
+            p = project_capped_simplex(v, total)
+            assert np.abs(p - bisection_projection(v, total)).max() <= 1e-12
+
+
+def bisection_projection(v, total, steps=200):
+    """Reference projection: bisection on tau over [min(v) - 1, max(v)]."""
+    lo, hi = float(v.min()) - 1.0, float(v.max())
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if np.clip(v - mid, 0.0, 1.0).sum() > total:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
 
 
 def relaxed_instance(seed=201, n_per=10, m=5):

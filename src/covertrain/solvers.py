@@ -10,7 +10,9 @@ accounting in one _Scorer; solve_nlp runs the relaxation and then the
 rounding sweep on it, reserving one training per rounding candidate so the
 sweep always fits the budget. Uniform search and the rounding sweep know
 their subsets before any risk, so they train them in batches (train_batch);
-beam search trains one subset at a time.
+beam search trains one subset at a time. When the wall-clock limit passes,
+uniform and beam search stop and report the best subset scored so far, or
+raise SolverError if none was scored.
 
 Strict detector feasibility psi < 0 is implemented as psi <= -1e-9
 (FEASIBILITY_SLACK) for numerical stability.
@@ -240,7 +242,13 @@ class _Scorer:
 def _finalize(
     scorer: _Scorer, name: str, seed: int | None, diagnostics: dict | None = None
 ) -> SolverReport:
-    """Re-check the scorer's best set against the detector and report it."""
+    """Re-check the scorer's best set against the detector and report it.
+    With no subset scored, the deadline stopped the run before its first
+    training."""
+    if scorer.best_idx is None:
+        raise SolverError(
+            "wall clock limit reached before any feasible subset was evaluated"
+        )
     psi = scorer.kernel.psi_indices(scorer.best_idx)
     if psi >= 0.0:
         raise SolverError(f"{name}: returned set fails the detector (psi={psi:.3e})")
@@ -277,11 +285,7 @@ def solve_uniform(
     B = budget.max_trainings
     batch, draws = scorer.draw(rng, DRAW_CAP_FACTOR * B, B, set() if dedup else None)
     scorer.risk_many(batch)
-    if scorer.best_idx is None:
-        if scorer.expired():
-            raise SolverError(
-                "wall clock limit reached before any feasible subset was evaluated"
-            )
+    if scorer.best_idx is None and not scorer.expired():
         raise SolverError(
             f"feasible region unreachable: no feasible subset in {draws} draws"
         )
@@ -340,6 +344,9 @@ def solve_beam(
     repeatedly expands a random neighbor sample per beam state and keeps the
     w lowest-risk states, until the restart's share of the training budget
     is spent. States already evaluated within a restart are never retrained.
+    The wall-clock limit is checked before each draw and each neighbor's
+    training; once it passes, no further restart runs and the best subset
+    scored so far is reported.
     """
     scorer = _Scorer(pool, secret, m, cfg, det, kernel, budget.wall_clock_limit)
     w = budget.beam_width
@@ -354,6 +361,8 @@ def solve_beam(
         if not evaluated:
             if scorer.trainings >= budget_end:
                 continue  # restart had no budget left
+            if scorer.expired():
+                break  # deadline: report the best subset scored so far
             raise SolverError(
                 f"beam initialization found no feasible subset in {draws} draws"
             )

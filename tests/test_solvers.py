@@ -280,6 +280,29 @@ class TestSolveBeam:
         with pytest.raises(SolverError, match="initialization"):
             solve_beam(pool, secret, 3, learner_cfg, det, budget, RngState(61))
 
+    def test_wall_clock_limit_before_first_evaluation(self, learner_cfg):
+        pool, secret, det = brute_instance()
+        budget = SolverBudget(max_trainings=50, wall_clock_limit=0.0)
+        with pytest.raises(SolverError, match="wall clock"):
+            solve_beam(pool, secret, 3, learner_cfg, det, budget, RngState(1))
+
+    def test_deadline_in_first_restart_reports_its_best(self, learner_cfg,
+                                                        monkeypatch):
+        # the deadline passes once 12 trainings are charged, inside restart
+        # 0's second frontier: restart 1 runs nothing, and the report is the
+        # best of restart 0's 12 trainings
+        pool, secret, det, _ = tightened_instance()
+        budget = SolverBudget(max_trainings=60, restarts=2, beam_width=3,
+                              neighbors_per_state=3)
+        full = solve_beam(pool, secret, 20, learner_cfg, det, budget, RngState(7))
+        monkeypatch.setattr(solvers._Scorer, "expired",
+                            lambda self: self.trainings >= 12)
+        cut = solve_beam(pool, secret, 20, learner_cfg, det, budget, RngState(7))
+        assert cut.trainings_used == 12
+        assert cut.trajectory == [(c, r) for c, r in full.trajectory
+                                  if c <= cut.trainings_used]
+        assert cut.best.cached_risk == cut.trajectory[-1][1]
+
 
 class TestKernelMatch:
     """A solver's `kernel=` must be built on its pool under its detector."""

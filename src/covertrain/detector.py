@@ -56,26 +56,14 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# Worker threads for the O(n^2) passes; they start on the first submit. The
+# Row blocks per O(n^2) pass at most: one per CPU this process may use. The
 # work runs in scipy and numpy kernels that release the GIL.
 _WORKERS = _cpu_count()
 
-
-def _start_executor() -> None:
-    """Give the process its own executor. A forked child inherits the
-    parent's executor but not its threads, so a task it submitted there
-    would wait forever; it starts a fresh one instead."""
-    global _EXECUTOR
-    _EXECUTOR = ThreadPoolExecutor(max_workers=_WORKERS,
-                                   thread_name_prefix="covertrain-detector")
-
-
-_start_executor()
-os.register_at_fork(after_in_child=_start_executor)
-
 # Entries (kernel values, distances or summands) each worker task computes
 # at least: work below two tasks' worth, such as a 200-point pool's, stays
-# on the calling thread, where a submit would cost more than it saves.
+# on the calling thread, where starting a thread would cost more than it
+# saves.
 _TASK_ENTRIES = 1 << 18
 
 
@@ -84,11 +72,12 @@ def _in_row_blocks(task, row_cost: np.ndarray) -> None:
 
     row_cost[i] is the number of entries row i computes. The rows split into
     blocks of about equal cost, at most one per worker and at most one per
-    `_TASK_ENTRIES` entries, run on the executor; a single block runs on the
-    calling thread. Each task writes only its own block's part of the
-    result, so the result does not depend on the split. A task must not
-    submit to the executor itself: with every worker waiting on it, its own
-    tasks would never run.
+    `_TASK_ENTRIES` entries. The first block runs on the calling thread and
+    each other block on a thread started for this call; every such thread
+    has exited when the call returns, so no thread outlives a pass and a
+    forked child or a task that calls in again has no pool to wait on. A
+    single block starts no thread. Each task writes only its own block's
+    part of the result, so the result does not depend on the split.
     """
     rows = row_cost.shape[0]
     total = int(row_cost.sum())
@@ -99,8 +88,11 @@ def _in_row_blocks(task, row_cost: np.ndarray) -> None:
     cum = np.cumsum(row_cost)
     inner = np.searchsorted(cum, total * np.arange(1, count) / count) + 1
     edges = np.unique(np.concatenate(([0], inner, [rows])))
-    futures = [_EXECUTOR.submit(task, lo, hi)
-               for lo, hi in zip(edges[:-1], edges[1:])]
+    first, *rest = zip(edges[:-1], edges[1:])
+    with ThreadPoolExecutor(max_workers=count - 1,
+                            thread_name_prefix="covertrain-detector") as pool:
+        futures = [pool.submit(task, lo, hi) for lo, hi in rest]
+        task(*first)
     for future in futures:
         future.result()
 
@@ -108,12 +100,11 @@ def _in_row_blocks(task, row_cost: np.ndarray) -> None:
 def gram(Z1: np.ndarray, Z2: np.ndarray, sigma: float) -> np.ndarray:
     """Kernel matrix between two point sets, shape (len(Z1), len(Z2)).
 
-    The float64 result is built in place, in row blocks on the worker
-    threads once it is large (`_in_row_blocks`); every entry is
-    exp(-|z1 - z2|^2 / (2 sigma^2)) with the same bits however the rows are
-    split. The peak is one matrix of len(Z1) * len(Z2) * 8 bytes. A result
-    larger than physical memory raises DetectorError before anything is
-    allocated.
+    The float64 result is built in place, in row blocks once it is large
+    (`_in_row_blocks`); every entry is exp(-|z1 - z2|^2 / (2 sigma^2)) with
+    the same bits however the rows are split. The peak is one matrix of
+    len(Z1) * len(Z2) * 8 bytes. A result larger than physical memory raises
+    DetectorError before anything is allocated.
     """
     if sigma <= 0:
         raise DetectorError("sigma must be positive")
@@ -220,12 +211,12 @@ class DetectorConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DetectorError("alpha must lie in (0, 1)")
-        if not self.sigma > 0:
-            raise DetectorError("sigma must be positive")
-        if self.label_scale_c < 0:
-            raise DetectorError("label scale must be nonnegative")
-        if not self.kernel_bound > 0:
-            raise DetectorError("kernel bound must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise DetectorError("sigma must be positive and finite")
+        if not 0 <= self.label_scale_c < math.inf:
+            raise DetectorError("label scale must be nonnegative and finite")
+        if not 0 < self.kernel_bound < math.inf:
+            raise DetectorError("kernel bound must be positive and finite")
 
     @classmethod
     def from_pool(cls, pool: Dataset, alpha: float = 0.05) -> "DetectorConfig":
@@ -312,7 +303,7 @@ def weighted_mmd(pool_augmented: np.ndarray, b: np.ndarray, cfg: DetectorConfig)
 def _pool_sums(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Row sums of a pool Gram matrix, and their total over n^2 (the
     weight-free first term of the MMD radicand). Each row reduces as in
-    K.sum(axis=1), in row blocks on the worker threads for a large K."""
+    K.sum(axis=1), in row blocks (`_in_row_blocks`) for a large K."""
     n = K.shape[0]
     row_sums = np.empty(n)
 
@@ -327,7 +318,8 @@ def _check_weights(b, n: int) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != n:
         raise DetectorError(f"{b.shape[0]} weights for pool of {n}")
-    if b.min() < -1e-12 or b.max() > 1 + 1e-12:
+    # Written so that NaN fails it.
+    if not (b.min() >= -1e-12 and b.max() <= 1 + 1e-12):
         raise DetectorError("weights must lie in [0, 1]")
     s = float(b.sum())
     if s <= 0:
@@ -348,8 +340,7 @@ def _support_product(K: np.ndarray, b: np.ndarray) -> np.ndarray:
     Costs O(|S| n) instead of O(n^2). Every nonzero weight is in S, the
     slightly negative ones that `_check_weights` allows included. K's rows
     are gathered in blocks of at most `_GATHER_BYTES`, so a dense b never
-    copies K whole. A block of consecutive indices lo..hi-1 takes the view
-    K[:, lo:hi] instead, so a b with no zero at n <= 1024 gets K @ b itself.
+    copies K whole.
     """
     n = K.shape[0]
     support = np.flatnonzero(b)
@@ -357,11 +348,7 @@ def _support_product(K: np.ndarray, b: np.ndarray) -> np.ndarray:
     Kb = np.zeros(n)
     for start in range(0, support.size, step):
         rows = support[start:start + step]
-        lo, hi = rows[0], rows[-1] + 1
-        if hi - lo == rows.size:
-            Kb += K[:, lo:hi] @ b[lo:hi]
-        else:
-            Kb += b[rows] @ K[rows]
+        Kb += b[rows] @ K[rows]
     return Kb
 
 
@@ -381,7 +368,7 @@ class PoolKernel:
     """Precomputed Gram machinery for one pool under one detector config.
 
     The (n, n) kernel matrix over the augmented pool and its row sums are
-    computed once, in row blocks on the worker threads for a large pool
+    computed once, in row blocks (`_in_row_blocks`) for a large pool
     (bit-identical to one pass), and shared read-only, so a candidate's MMD
     costs O(nm + m^2) and the weighted variant and its gradient
     O(|supp b| n). All methods are pure.

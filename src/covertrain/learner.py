@@ -76,7 +76,8 @@ class WeightedTrainingView:
             raise DataError(
                 f"{b.shape[0]} weights for pool of {len(self.pool)}"
             )
-        if b.size == 0 or b.min() < -1e-12 or b.max() > 1 + 1e-12:
+        # Written so that NaN fails it.
+        if b.size == 0 or not (b.min() >= -1e-12 and b.max() <= 1 + 1e-12):
             raise DataError("weights must lie in [0, 1]")
         if b.sum() <= 0:
             raise DataError("weights must have positive sum")

@@ -137,6 +137,21 @@ class TestCalibrationConstants:
             psi(widened, CandidateSet(tuple(range(10))), cfg).psi, abs=1e-12)
 
 
+class TestDetectorConfig:
+    # Each of these would let any sample pass: a NaN psi is never >= 0, an
+    # infinite sigma makes every MMD 0 and an infinite bound the threshold.
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", math.inf), ("sigma", math.nan),
+        ("label_scale_c", math.inf), ("label_scale_c", math.nan),
+        ("kernel_bound", math.inf), ("kernel_bound", math.nan),
+    ])
+    def test_rejects_non_finite_settings(self, field, value):
+        settings = dict(alpha=0.05, sigma=1.0, label_scale_c=0.0, kernel_bound=1.0)
+        settings[field] = value
+        with pytest.raises(DetectorError, match="finite"):
+            DetectorConfig(**settings)
+
+
 class TestMmd:
     def test_identical_samples_zero(self):
         for size in (1, 7, 60):
@@ -263,6 +278,18 @@ class TestWeightedMmd:
         cfg = config()
         with pytest.raises(DetectorError):
             weighted_mmd(augment(ds.X, ds.y, 0.0), np.zeros(2), cfg)
+
+    def test_rejects_nan_weights(self):
+        pool = gaussian_task(11, 5)
+        cfg = DetectorConfig.from_pool(pool)
+        kernel = PoolKernel(pool, cfg)
+        Z = augment(pool.X, pool.y, cfg.label_scale_c)
+        b = np.full(len(pool), 0.5)
+        b[2] = math.nan
+        for call in (kernel.weighted, kernel.weighted_grad,
+                     lambda b: weighted_mmd(Z, b, cfg)):
+            with pytest.raises(DetectorError, match=r"weights must lie in \[0, 1\]"):
+                call(b)
 
     def test_rejects_weights_too_small_to_normalise(self):
         pool = gaussian_task(11, 5)
@@ -436,7 +463,7 @@ class TestProperties:
         kernel = PoolKernel(pool, cfg)
         K = kernel.K
         b = data.draw(_sparse_weights(len(pool)))
-        # blocks of 1 to n rows, so gathered and consecutive blocks both occur
+        # blocks of 1 to n rows, so one gather or several may cover the support
         rows = data.draw(st.integers(1, len(pool)))
         with mock.patch.object(detector, "_GATHER_BYTES", 8 * len(pool) * rows):
             Kb = detector._support_product(K, b)
@@ -526,31 +553,44 @@ def _or_error(call, *args):
         return DetectorError
 
 
+def _recording_pools():
+    """A patch of the detector's ThreadPoolExecutor with a subclass that
+    records the pools opened while it is active, and the list they go in;
+    each pool's `blocks` holds the (lo, hi) rows submitted to it."""
+    opened = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.blocks = []
+            opened.append(self)
+
+        def submit(self, fn, *args):
+            self.blocks.append(args)
+            return super().submit(fn, *args)
+
+    return mock.patch.object(detector, "ThreadPoolExecutor", RecordingPool), opened
+
+
 class TestRowBlocks:
-    """The n x n passes split into row blocks on worker threads give the
-    bits of one-shot scipy and numpy, whatever the worker count."""
+    """The n x n passes split into row blocks, on the calling thread and on
+    threads started for the pass, give the bits of one-shot scipy and
+    numpy, whatever the worker count."""
 
     @settings(deadline=None)
     @given(_block_pools(), st.sampled_from([2, 3]), _sigmas, st.floats(0.0, 5.0))
     def test_block_path_equals_one_shot(self, pool, workers, sigma, c):
         Z = augment(pool.X, pool.y, c)
-        submits = []
-        submit = detector._EXECUTOR.submit
-
-        def counting_submit(*args):
-            submits.append(args)
-            return submit(*args)
-
-        with mock.patch.object(detector, "_TASK_ENTRIES", 1), \
-                mock.patch.object(detector, "_WORKERS", workers), \
-                mock.patch.object(detector._EXECUTOR, "submit", counting_submit):
+        recording, pools = _recording_pools()
+        with recording, mock.patch.object(detector, "_TASK_ENTRIES", 1), \
+                mock.patch.object(detector, "_WORKERS", workers):
             K = gram(Z, Z, sigma)
             row_sums, pool_term = detector._pool_sums(K)
             dists = detector._pair_distances(Z)
             sigma_blocks = _or_error(median_heuristic_sigma, pool, c)
             c_blocks = _or_error(label_scale, pool)
         if len(pool) >= 2:  # n below the worker count included
-            assert submits
+            assert any(p.blocks for p in pools)
         assert np.array_equal(K, _textbook_gram(Z, Z, sigma))
         assert np.array_equal(row_sums, K.sum(axis=1))
         assert pool_term == float(K.sum(axis=1).sum()) / len(pool) ** 2
@@ -565,29 +605,39 @@ class TestRowBlocks:
         assert c_blocks == (float(max(maxima)) if maxima else DetectorError)
 
     def test_forked_child_runs_blocks(self):
-        # The child inherits the executor without its threads. Both of the
-        # parent's workers exist when it forks, so only the child's own
-        # executor can run the child's blocks.
+        # The fork comes while another thread is partway through a pass, its
+        # pool's worker still running. The child inherits neither thread and
+        # must start its own for its own pass.
         Z = RngState(43).generator.standard_normal((9, 2))
-        executor = ThreadPoolExecutor(max_workers=2)
-        barrier = threading.Barrier(2)
-        try:
-            with mock.patch.object(detector, "_EXECUTOR", executor), \
-                    mock.patch.object(detector, "_WORKERS", 2), \
-                    mock.patch.object(detector, "_TASK_ENTRIES", 1):
-                waits = [executor.submit(barrier.wait, 30.0) for _ in range(2)]
-                for future in waits:
-                    future.result(timeout=30.0)
-                expected = gram(Z, Z, 1.0)
+        expected = _textbook_gram(Z, Z, 1.0)
+        started = threading.Barrier(3)
+        release = threading.Event()
+
+        def hold(lo, hi):
+            started.wait(30.0)
+            release.wait(30.0)
+
+        recording, pools = _recording_pools()
+        with recording, mock.patch.object(detector, "_WORKERS", 2), \
+                mock.patch.object(detector, "_TASK_ENTRIES", 1):
+            holder = threading.Thread(target=detector._in_row_blocks,
+                                      args=(hold, np.ones(2)))
+            holder.start()
+            try:
+                started.wait(30.0)
                 pid = os.fork()
                 if pid == 0:  # the child reports through its exit status only
                     code = 1
                     try:
-                        code = 0 if np.array_equal(gram(Z, Z, 1.0), expected) else 1
+                        before = len(pools)
+                        same = np.array_equal(gram(Z, Z, 1.0), expected)
+                        code = 0 if same and pools[before:][0].blocks else 1
                     finally:
                         os._exit(code)
-        finally:
-            executor.shutdown(wait=False)
+            finally:
+                release.set()
+                holder.join(30.0)
+        assert not holder.is_alive()
         deadline = time.monotonic() + 20.0
         while time.monotonic() < deadline:
             done, status = os.waitpid(pid, os.WNOHANG)
@@ -613,33 +663,53 @@ class TestRowBlocks:
                     and np.array_equal(np.sort(detector._pair_distances(Z)), d_want))
 
         interval = sys.getswitchinterval()
-        executor = ThreadPoolExecutor(max_workers=8)
+        recording, pools = _recording_pools()
         try:
             sys.setswitchinterval(1e-6)
-            with mock.patch.object(detector, "_EXECUTOR", executor), \
-                    mock.patch.object(detector, "_WORKERS", 8), \
+            with recording, mock.patch.object(detector, "_WORKERS", 8), \
                     mock.patch.object(detector, "_TASK_ENTRIES", 1):
                 thread = threading.Thread(target=run)
                 thread.start()
                 thread.join(timeout=60.0)
         finally:
             sys.setswitchinterval(interval)
-            executor.shutdown(wait=False)
         assert not thread.is_alive()
         assert results == [True] * 20
+        # 8 blocks a pass: 7 of them on threads, whatever the 2 CPUs
+        assert len(pools) == 60 and all(len(p.blocks) == 7 for p in pools)
 
     def test_rectangular_blocks_and_small_work(self):
         gen = RngState(41).generator
         Z1, Z2 = gen.standard_normal((7, 3)), gen.standard_normal((5, 3))
-        with mock.patch.object(detector, "_TASK_ENTRIES", 1), \
+        recording, pools = _recording_pools()
+        with recording, mock.patch.object(detector, "_TASK_ENTRIES", 1), \
                 mock.patch.object(detector, "_WORKERS", 3):
             blocks = gram(Z1, Z2, 0.7)
+        assert [len(p.blocks) for p in pools] == [2]
         assert np.array_equal(blocks, _textbook_gram(Z1, Z2, 0.7))
-        # below two tasks' worth of entries, no task leaves the calling thread
-        no_submit = mock.patch.object(detector._EXECUTOR, "submit",
-                                      side_effect=AssertionError)
-        with no_submit:
+        # below two tasks' worth of entries, no pool opens and no thread starts
+        no_pool = mock.patch.object(detector, "ThreadPoolExecutor",
+                                    side_effect=AssertionError)
+        with no_pool:
             assert np.array_equal(gram(Z1, Z2, 0.7), blocks)
+
+    def test_no_thread_outlives_a_pass(self):
+        Z = RngState(53).generator.standard_normal((40, 3))
+        ran_on = []
+
+        def task(lo, hi):
+            ran_on.append(threading.current_thread())
+
+        before = set(threading.enumerate())
+        with mock.patch.object(detector, "_TASK_ENTRIES", 1), \
+                mock.patch.object(detector, "_WORKERS", 3):
+            detector._in_row_blocks(task, np.ones(6))
+            workers = [t for t in ran_on if t is not threading.current_thread()]
+            assert len(ran_on) == 3 and len(workers) == 2
+            assert not any(t.is_alive() for t in workers)
+            detector._pool_sums(gram(Z, Z, 0.9))
+            detector._pair_distances(Z)
+            assert set(threading.enumerate()) <= before
 
 
 def _mixture_sample(gen, size):

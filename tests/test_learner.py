@@ -204,6 +204,13 @@ class TestTrain:
             train(ones_view(pool), cfg)
         assert err.value.residual is not None and err.value.residual > 1e-14
 
+    def test_rejects_nan_weights(self):
+        pool = gaussian_task(5, 6)
+        b = np.ones(len(pool))
+        b[3] = math.nan
+        with pytest.raises(DataError, match=r"weights must lie in \[0, 1\]"):
+            WeightedTrainingView(pool, b)
+
     def test_rejects_zero_lambda(self):
         with pytest.raises(DataError):
             LearnerConfig(lam=0.0)

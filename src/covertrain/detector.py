@@ -103,11 +103,12 @@ def gram(Z1: np.ndarray, Z2: np.ndarray, sigma: float) -> np.ndarray:
     The float64 result is built in place, in row blocks once it is large
     (`_in_row_blocks`); every entry is exp(-|z1 - z2|^2 / (2 sigma^2)) with
     the same bits however the rows are split. The peak is one matrix of
-    len(Z1) * len(Z2) * 8 bytes. A result larger than physical memory raises
-    DetectorError before anything is allocated.
+    len(Z1) * len(Z2) * 8 bytes. A sigma that is not positive and finite, or
+    a result larger than physical memory, raises DetectorError before
+    anything is allocated.
     """
-    if sigma <= 0:
-        raise DetectorError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise DetectorError("sigma must be positive and finite")
     Z1 = np.atleast_2d(Z1)
     Z2 = np.atleast_2d(Z2)
     rows, cols = Z1.shape[0], Z2.shape[0]

@@ -6,13 +6,15 @@ m-element pool subset, subject to the subset passing the detector
 checks and rejected proposals are free but capped to prevent livelock.
 All three take the run's SolverBudget (NlpOptions is another name for it;
 solve_nlp reads only its two limits). Each run holds its instance and
-accounting in one _Scorer; solve_nlp runs the relaxation and then the
-rounding sweep on it, reserving one training per rounding candidate so the
-sweep always fits the budget. Uniform search and the rounding sweep know
-their subsets before any risk, so they train them in batches (train_batch);
-beam search trains one subset at a time. When the wall-clock limit passes,
-uniform and beam search stop and report the best subset scored so far, or
-raise SolverError if none was scored.
+accounting in one _Scorer, which makes every detector check and counts
+every rejection; solve_nlp runs the relaxation and then the rounding sweep
+on it, reserving one training per rounding candidate so the sweep always
+fits the budget. Uniform search and the rounding sweep know their subsets
+before any risk, so they train them in batches (train_batch); beam search
+trains one subset at a time. When the wall-clock limit passes, uniform and
+beam search stop. Every run reports the best subset it scored; a run that
+scored none raises SolverError (_finalize), naming the deadline if it has
+passed and the number of draws otherwise.
 
 Strict detector feasibility psi < 0 is implemented as psi <= -1e-9
 (FEASIBILITY_SLACK) for numerical stability.
@@ -100,9 +102,8 @@ class SolverReport:
     """Audited outcome of one solver run. The returned set is always
     re-checked against the detector; trajectory entries are
     (trainings_used_so_far, best_risk_so_far) and non-increasing in risk.
-    feasibility_rejections counts the random draws (uniform search, beam
-    initialisation) and rounding candidates that failed the detector; beam's
-    neighbour proposals are not counted."""
+    feasibility_rejections counts every proposal that failed the detector:
+    random draws, beam's neighbour proposals and rounding candidates."""
 
     best: CandidateSet
     trainings_used: int
@@ -146,9 +147,9 @@ class _Scorer:
     when none is given) and its accounting. Trains the learner on pool
     m-subsets, one at a time (`risk`) or in batches (`risk_many`), and
     scores secret-set risk, charging one training each; audits
-    subsets against the detector, counting rejections; holds the deadline.
-    Keeps the lowest-risk subset scored so far and the trajectory of
-    (trainings, best risk) at each improvement."""
+    subsets against the detector, counting rejections; counts random draws;
+    holds the deadline. Keeps the lowest-risk subset scored so far and the
+    trajectory of (trainings, best risk) at each improvement."""
 
     def __init__(self, pool: Dataset, secret: Dataset, m: int, cfg: LearnerConfig,
                  det: DetectorConfig, kernel: PoolKernel | None,
@@ -166,6 +167,7 @@ class _Scorer:
         self.limit = wall_clock_limit
         self.trainings = 0
         self.rejections = 0
+        self.draws = 0
         self.best_idx: tuple[int, ...] | None = None
         self.best_risk = np.inf
         self.trajectory: list[tuple[int, float]] = []
@@ -184,16 +186,16 @@ class _Scorer:
         return self.trainings >= cap or self.expired()
 
     def draw(self, rng: RngState, cap: int, want: int,
-             seen: set | None) -> tuple[list[tuple[int, ...]], int]:
+             seen: set | None) -> list[tuple[int, ...]]:
         """Draw uniform m-subsets until `want` feasible ones are kept, `cap`
         draws are made or the deadline passes (checked before each draw).
         With `seen` a set, subsets already in it are skipped and each kept
-        one is added to it. Scores nothing; returns the kept subsets in draw
-        order and the number of draws."""
+        one is added to it. Scores nothing; counts each draw in `draws` and
+        returns the kept subsets in draw order."""
         kept: list[tuple[int, ...]] = []
-        draws = 0
-        while len(kept) < want and draws < cap and not self.expired():
-            draws += 1
+        stop = self.draws + cap
+        while len(kept) < want and self.draws < stop and not self.expired():
+            self.draws += 1
             idx = sample_subset(self.pool, self.m, rng).indices
             if not self.feasible(idx):
                 continue
@@ -202,7 +204,7 @@ class _Scorer:
                     continue
                 seen.add(idx)
             kept.append(idx)
-        return kept, draws
+        return kept
 
     def _record(self, indices: tuple[int, ...], risk: float) -> None:
         self.trainings += 1
@@ -243,11 +245,15 @@ def _finalize(
     scorer: _Scorer, name: str, seed: int | None, diagnostics: dict | None = None
 ) -> SolverReport:
     """Re-check the scorer's best set against the detector and report it.
-    With no subset scored, the deadline stopped the run before its first
-    training."""
+    A run that scored no subset raises: the deadline stopped it if it has
+    passed, and otherwise none of its draws was feasible."""
     if scorer.best_idx is None:
+        if scorer.expired():
+            raise SolverError(
+                "wall clock limit reached before any feasible subset was evaluated"
+            )
         raise SolverError(
-            "wall clock limit reached before any feasible subset was evaluated"
+            f"feasible region unreachable: no feasible subset in {scorer.draws} draws"
         )
     psi = scorer.kernel.psi_indices(scorer.best_idx)
     if psi >= 0.0:
@@ -283,28 +289,26 @@ def solve_uniform(
     """
     scorer = _Scorer(pool, secret, m, cfg, det, kernel, budget.wall_clock_limit)
     B = budget.max_trainings
-    batch, draws = scorer.draw(rng, DRAW_CAP_FACTOR * B, B, set() if dedup else None)
-    scorer.risk_many(batch)
-    if scorer.best_idx is None and not scorer.expired():
-        raise SolverError(
-            f"feasible region unreachable: no feasible subset in {draws} draws"
-        )
+    scorer.risk_many(scorer.draw(rng, DRAW_CAP_FACTOR * B, B,
+                                 set() if dedup else None))
     return _finalize(scorer, "uniform", rng.seed)
 
 
 def neighbors(
-    indices: tuple[int, ...], kernel: PoolKernel, count: int, rng: RngState
+    indices: tuple[int, ...], auditor: _Scorer | PoolKernel, count: int,
+    rng: RngState,
 ) -> list[tuple[int, ...]]:
     """Sample up to `count` distinct feasible single-swap neighbors of the
-    sorted pool subset `indices`.
+    sorted subset `indices` of `auditor.pool`.
 
     A neighbor exchanges one in-set index for one out-of-set index, both
-    chosen uniformly. Infeasible or repeated proposals are discarded and
-    redrawn, consuming no training budget, with total proposals capped at
-    20 * count. May return fewer than `count` sets; returns none when the
-    subset already covers the pool.
+    chosen uniformly. Each new proposal is audited by `auditor.feasible`
+    (a run's _Scorer counts the rejections); infeasible or repeated
+    proposals are discarded and redrawn, consuming no training budget, with
+    total proposals capped at 20 * count. May return fewer than `count`
+    sets; returns none when the subset already covers the pool.
     """
-    n = kernel.n
+    n = len(auditor.pool)
     m = len(indices)
     if m >= n or count <= 0:
         return []
@@ -323,7 +327,7 @@ def neighbors(
         if proposal in tried:
             continue
         tried.add(proposal)
-        if kernel.feasible(proposal):
+        if auditor.feasible(proposal):
             out.append(proposal)
     return out
 
@@ -344,9 +348,11 @@ def solve_beam(
     repeatedly expands a random neighbor sample per beam state and keeps the
     w lowest-risk states, until the restart's share of the training budget
     is spent. States already evaluated within a restart are never retrained.
+    A restart whose draws keep fewer than w feasible subsets searches from
+    those it has; one that scores none (its share of the budget is zero,
+    the deadline has passed or no draw was feasible) moves on to the next.
     The wall-clock limit is checked before each draw and each neighbor's
-    training; once it passes, no further restart runs and the best subset
-    scored so far is reported.
+    training; once it passes, no further subset is scored.
     """
     scorer = _Scorer(pool, secret, m, cfg, det, kernel, budget.wall_clock_limit)
     w = budget.beam_width
@@ -354,30 +360,18 @@ def solve_beam(
 
     for r in range(budget.restarts):
         budget_end = scorer.trainings + budget.per_restart(r)
-        batch, draws = scorer.draw(
-            rng, init_cap, min(w, budget_end - scorer.trainings), set()
-        )
+        batch = scorer.draw(rng, init_cap, min(w, budget_end - scorer.trainings),
+                            set())
         evaluated = {idx: scorer.risk(idx) for idx in batch}
         if not evaluated:
-            if scorer.trainings >= budget_end:
-                continue  # restart had no budget left
-            if scorer.expired():
-                break  # deadline: report the best subset scored so far
-            raise SolverError(
-                f"beam initialization found no feasible subset in {draws} draws"
-            )
-        if len(evaluated) < w and draws >= init_cap:
-            raise SolverError(
-                f"beam initialization found only {len(evaluated)}/{w} feasible "
-                f"subsets in {draws} draws"
-            )
+            continue
         beam = sorted((risk, idx) for idx, risk in evaluated.items())
 
         while not scorer.spent(budget_end):
             # unevaluated neighbors in first-proposed order
             fresh: dict[tuple[int, ...], None] = {}
             for _, idx in beam:
-                for nb in neighbors(idx, scorer.kernel, budget.neighbors_per_state, rng):
+                for nb in neighbors(idx, scorer, budget.neighbors_per_state, rng):
                     if nb not in evaluated:
                         fresh[nb] = None
             if not fresh:
@@ -449,6 +443,9 @@ def solve_relaxed(
     threshold = kernel.threshold(m)
     if len(seed_set) != m:
         raise DataError(f"seed set has {len(seed_set)} indices, expected {m}")
+    if seed_set.indices[-1] >= len(pool):
+        raise DataError(f"seed set index {seed_set.indices[-1]} out of range "
+                        f"for pool of {len(pool)}")
 
     if not scorer.feasible(seed_set.indices):
         raise SolverError("seed set fails the detector")
@@ -542,8 +539,6 @@ def round_relaxed(
         sol.b, seed_set.indices, len(scorer.pool), scorer.m
     )
     scorer.risk_many([idx for idx in candidates if scorer.feasible(idx)])
-    if scorer.best_idx is None:
-        raise SolverError("no feasible rounding candidate (seed should be)")
     return _finalize(
         scorer, "nlp", None,
         diagnostics={"candidates": [list(c) for c in candidates]},

@@ -74,6 +74,13 @@ class TestRbfKernel:
         assert np.allclose(np.diag(K), 1.0)
         assert K.min() > 0.0 and K.max() <= 1.0
 
+    # A NaN sigma gave an all-NaN matrix and an infinite one a matrix of ones.
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_gram_rejects_bad_sigma(self, sigma):
+        Z = RngState(3).generator.standard_normal((4, 2))
+        with pytest.raises(DetectorError, match="sigma must be positive and finite"):
+            gram(Z, Z, sigma)
+
 
 class TestCalibrationConstants:
     def test_median_collinear_oracle(self):

@@ -138,6 +138,36 @@ class TestSolveUniform:
             solve_uniform(pool, secret, 3, learner_cfg, det,
                           SolverBudget(max_trainings=5), RngState(1))
 
+    def test_unreachable_message_counts_every_draw(self, learner_cfg,
+                                                  monkeypatch):
+        # draws made by uniform search and by both beam restarts
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return sample_subset(*args)
+
+        monkeypatch.setattr(solvers, "sample_subset", counted)
+        pool, secret, _ = brute_instance()
+        det = unreachable_detector(pool)
+        run = scorer(pool, secret, 3, learner_cfg, det)
+        assert run.draw(RngState(1), 7, 2, set()) == []
+        assert run.draw(RngState(2), 5, 1, None) == []
+        assert run.draws == len(calls) == 12
+        for solve in (
+            lambda: solve_uniform(pool, secret, 3, learner_cfg, det,
+                                  SolverBudget(max_trainings=5), RngState(1)),
+            lambda: solve_beam(pool, secret, 3, learner_cfg, det,
+                               SolverBudget(max_trainings=6, restarts=2,
+                                            beam_width=3), RngState(1)),
+        ):
+            calls.clear()
+            with pytest.raises(SolverError) as raised:
+                solve()
+            assert str(raised.value) == (
+                f"feasible region unreachable: no feasible subset in {len(calls)} draws")
+            assert len(calls) > 0
+
     def test_trajectory_non_increasing(self, learner_cfg):
         pool, secret, det = brute_instance()
         report = solve_uniform(pool, secret, 3, learner_cfg, det,
@@ -262,9 +292,10 @@ class TestSolveBeam:
         draw = solvers._Scorer.draw
 
         def counted(self, *args):
-            kept, count = draw(self, *args)
-            draws.append(count)
-            return kept, count
+            before = self.draws
+            kept = draw(self, *args)
+            draws.append(self.draws - before)
+            return kept
 
         monkeypatch.setattr(solvers._Scorer, "draw", counted)
         pool, secret, det = brute_instance()
@@ -277,8 +308,57 @@ class TestSolveBeam:
         pool, secret, _ = brute_instance()
         det = unreachable_detector(pool)
         budget = SolverBudget(max_trainings=10, beam_width=3)
-        with pytest.raises(SolverError, match="initialization"):
+        with pytest.raises(SolverError,
+                           match="feasible region unreachable: no feasible subset "
+                                 "in 100 draws"):
             solve_beam(pool, secret, 3, learner_cfg, det, budget, RngState(61))
+
+    def test_scarce_feasible_region_reports_its_one_subset(self, learner_cfg):
+        # exactly one of the 56 subsets passes, so the initialisation keeps
+        # one of the w=3 states it asks for; beam searches from it, and
+        # reports what uniform search does
+        pool, secret, _ = brute_instance()
+        det = strict_detector(pool, 1 / 55)
+        budget = SolverBudget(max_trainings=5, beam_width=3, neighbors_per_state=2)
+        beam = solve_beam(pool, secret, 3, learner_cfg, det, budget, RngState(1))
+        uniform = solve_uniform(pool, secret, 3, learner_cfg, det, budget,
+                                RngState(1))
+        assert beam.best.indices == uniform.best.indices == (1, 5, 7)
+        assert beam.trainings_used == uniform.trainings_used == 1
+        assert beam.best.cached_risk == pytest.approx(uniform.best.cached_risk,
+                                                      rel=1e-12)
+
+    def test_restart_without_feasible_draws_reports_the_earlier_best(
+            self, learner_cfg, monkeypatch):
+        # B=20 over 2 restarts gives shares 10 and 10; once restart 0's
+        # share is charged the detector rejects everything, so restart 1
+        # scores nothing and the run reports restart 0, which is a
+        # one-restart run of B=10
+        pool, secret, det, _ = tightened_instance()
+        budget = SolverBudget(max_trainings=20, restarts=2, beam_width=3,
+                              neighbors_per_state=3)
+        alone = solve_beam(pool, secret, 20, learner_cfg, det,
+                           replace(budget, max_trainings=10, restarts=1),
+                           RngState(7))
+        trainings = []
+        feasible = PoolKernel.feasible
+
+        def trained(*args, **kwargs):
+            trainings.append(1)
+            return train(*args, **kwargs)
+
+        def closed(self, indices, slack=FEASIBILITY_SLACK):
+            return len(trainings) < 10 and feasible(self, indices, slack)
+
+        monkeypatch.setattr(solvers, "train", trained)
+        monkeypatch.setattr(PoolKernel, "feasible", closed)
+        report = solve_beam(pool, secret, 20, learner_cfg, det, budget, RngState(7))
+        init_cap = solvers.DRAW_CAP_FACTOR * budget.max_trainings
+        assert report.trainings_used == alone.trainings_used == 10
+        assert report.best == alone.best
+        assert report.trajectory == alone.trajectory
+        assert (report.feasibility_rejections
+                == alone.feasibility_rejections + init_cap)
 
     def test_wall_clock_limit_before_first_evaluation(self, learner_cfg):
         pool, secret, det = brute_instance()
@@ -594,6 +674,15 @@ class TestSolveNlp:
             solve_nlp(pool, secret, 5, learner_cfg, det, seed_set,
                       NlpOptions(max_trainings=4))
 
+    def test_seed_index_outside_the_pool(self, learner_cfg):
+        # raised a bare IndexError from the kernel
+        secret, pool, _ = generate(acceptance_spec(3))
+        det = DetectorConfig.from_pool(pool)
+        with pytest.raises(DataError,
+                           match="seed set index 999 out of range for pool of 200"):
+            solve_nlp(pool, secret, 3, learner_cfg, det, CandidateSet((0, 1, 999)),
+                      NlpOptions(max_trainings=50))
+
     def test_budget_exactly_covers_phases(self, learner_cfg):
         pool, secret, det = relaxed_instance(seed=235)
         seed_set = sample_subset(pool, 5, RngState(101))
@@ -809,14 +898,14 @@ class TestAccounting:
         assert report.feasibility_rejections == answers.count(False)
         assert report.trainings_used == len(trainings)
 
-    def test_beam_leaves_out_neighbour_proposals(self, learner_cfg, instance,
-                                                 counted):
+    def test_beam(self, learner_cfg, instance, counted):
+        # rejected neighbour proposals count like rejected draws
         answers, trainings = counted
         pool, secret, det, _ = instance
         report = solve_beam(pool, secret, 20, learner_cfg, det, self.budget,
                             RngState(6))
-        # rejected neighbour proposals are among the False answers only
-        assert 0 < report.feasibility_rejections < answers.count(False)
+        assert answers.count(False) > 0
+        assert report.feasibility_rejections == answers.count(False)
         assert report.trainings_used == len(trainings)
 
     def test_nlp(self, learner_cfg, instance, counted):

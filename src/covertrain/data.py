@@ -201,6 +201,25 @@ def _infer_format(path: Path) -> str:
     raise DataError(f"cannot infer format from {path.name!r}")
 
 
+def _plain_csv(lines: list[str], dim: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """X and y of the non-empty, unquoted body lines of a CSV file from one
+    np.loadtxt call, or None when the row parser must decide: on any
+    exception, a shape other than (rows, dim + 1), a non-finite feature or
+    a label other than -1 or +1. np.loadtxt rejects some tokens that float()
+    accepts (1_0, non-ASCII digits), so those files take the row parser;
+    a token both accept has the same bits."""
+    try:
+        table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except Exception:  # the row parser, not np.loadtxt, says what is wrong
+        return None
+    if table.shape != (len(lines), dim + 1):
+        return None
+    X, labels = table[:, :-1], table[:, -1]
+    if not (np.isfinite(X).all() and (np.abs(labels) == 1.0).all()):
+        return None
+    return X, labels.astype(np.int64)
+
+
 def load_dataset(
     path,
     label_map: dict | None = None,
@@ -212,7 +231,9 @@ def load_dataset(
     Row order in the file is the dataset's instance order. Labels are mapped
     to {-1, +1}: numeric -1/+1 pass through, anything else needs an explicit
     label_map from class name to sign. `add_bias` appends a constant-1
-    feature to every instance.
+    feature to every instance. A CSV file without quotes or a label map is
+    first read in one np.loadtxt call (`_plain_csv`); when that does not
+    give a valid table, the row parser reads it and names the failing row.
     """
     path = Path(path)
     fmt = _infer_format(path)
@@ -221,24 +242,30 @@ def load_dataset(
     except UnicodeDecodeError as exc:
         raise DataError(f"{path.name}: {exc}") from None
     rows: list[tuple[list[float], int]] = []
+    plain = None
 
     if fmt == "csv":
+        lines = text.splitlines()
         try:
-            lines = [r for r in csv.reader(text.splitlines()) if r]
+            table = [r for r in csv.reader(lines) if r]
         except csv.Error as exc:
             raise DataError(f"{path.name}: {exc}") from None
-        if not lines:
+        if not table:
             raise DataError(f"{path.name}: empty dataset")
-        header = [h.strip() for h in lines[0]]
+        header = [h.strip() for h in table[0]]
         if not header or header[-1] != "label":
             raise DataError(f"{path.name}: last CSV column must be 'label'")
         dim = len(header) - 1
         if dim < 1:
             raise DataError(f"{path.name}: no feature columns")
-        for row_num, row in enumerate(lines[1:], start=1):
-            where = f"{path.name} row {row_num}"
-            feats = _parse_features(row[:-1], dim, where)
-            rows.append((feats, _parse_label(row[-1], label_map, where)))
+        # Without quotes, csv.reader gives one row per non-empty line.
+        if label_map is None and len(table) > 1 and '"' not in text:
+            plain = _plain_csv([ln for ln in lines if ln][1:], dim)
+        if plain is None:
+            for row_num, row in enumerate(table[1:], start=1):
+                where = f"{path.name} row {row_num}"
+                feats = _parse_features(row[:-1], dim, where)
+                rows.append((feats, _parse_label(row[-1], label_map, where)))
     else:
         dim = None
         for row_num, line in enumerate(
@@ -258,10 +285,13 @@ def load_dataset(
             feats = _parse_features(values, dim, where)
             rows.append((feats, _parse_label(obj["label"], label_map, where)))
 
-    if not rows:
+    if plain is not None:
+        X, y = plain
+    elif rows:
+        X = np.array([f for f, _ in rows], dtype=np.float64)
+        y = np.array([lab for _, lab in rows], dtype=np.int64)
+    else:
         raise DataError(f"{path.name}: empty dataset")
-    X = np.array([f for f, _ in rows], dtype=np.float64)
-    y = np.array([lab for _, lab in rows], dtype=np.int64)
     if add_bias:
         X = np.hstack([X, np.ones((X.shape[0], 1))])
     return Dataset(X, y, role=role)

@@ -134,27 +134,27 @@ def gram(Z1: np.ndarray, Z2: np.ndarray, sigma: float) -> np.ndarray:
     return K
 
 
-def _pair_distances(P: np.ndarray) -> np.ndarray:
-    """Euclidean distances of all n(n-1)/2 pairs of rows of P.
+def _class_squares(pool: Dataset) -> tuple[np.ndarray, int, float | None]:
+    """A buffer for the squared distances of all n(n-1)/2 pairs of pool
+    points, holding so far each class's pairs (pdist, sqeuclidean) at its
+    front, class -1's first; their count; and their maximum, the square of
+    the label scale (None when no class has two members)."""
+    n = len(pool)
+    squares = np.empty(n * (n - 1) // 2)
+    same = 0
+    for sign in (-1, 1):
+        pts = pool.X[pool.y == sign]
+        pairs = pts.shape[0] * (pts.shape[0] - 1) // 2
+        pdist(pts, "sqeuclidean", out=squares[same:same + pairs])
+        same += pairs
+    return squares, same, float(squares[:same].max()) if same else None
 
-    These are pdist(P)'s values in another order: each row block fills the
-    stretch pdist gives its pairs with its own pdist, then its cdist to the
-    rows after it. Statistics that do not depend on order (max, median) get
-    the same bits from every split.
-    """
-    n = P.shape[0]
-    out = np.empty(n * (n - 1) // 2)
 
-    def block(lo, hi):
-        start = lo * n - lo * (lo + 1) // 2  # pairs of the rows before lo
-        k = hi - lo
-        within = k * (k - 1) // 2
-        pdist(P[lo:hi], out=out[start:start + within])
-        cross = out[start + within:start + within + k * (n - hi)]
-        cdist(P[lo:hi], P[hi:], out=cross.reshape(k, n - hi))
-
-    _in_row_blocks(block, n - 1 - np.arange(n))
-    return out
+def _root(top: float | None) -> float:
+    """The label scale from the largest same-class squared distance."""
+    if top is None:
+        raise DetectorError("no class has two members; label scale undefined")
+    return math.sqrt(top)
 
 
 def label_scale(pool: Dataset) -> float:
@@ -163,15 +163,46 @@ def label_scale(pool: Dataset) -> float:
     This is the scale c of the label coordinate. At least one class must
     have two members.
     """
-    best = None
-    for sign in (-1, 1):
-        pts = pool.X[pool.y == sign]
-        if pts.shape[0] >= 2:
-            dmax = float(_pair_distances(pts).max())
-            best = dmax if best is None else max(best, dmax)
-    if best is None:
-        raise DetectorError("no class has two members; label scale undefined")
-    return best
+    return _root(_class_squares(pool)[2])
+
+
+def _calibrate(pool: Dataset, c: float | None = None) -> tuple[float, float]:
+    """The label scale c (unless given) and the median-heuristic sigma of a
+    pool, from one buffer of the squared distances of all n(n-1)/2 pairs of
+    augmented points (`_class_squares`).
+
+    Within a class the label coordinates are equal, so the front of the
+    buffer holds squared feature distances. The cross-class pairs follow:
+    cdist between the classes, plus c*c, which is exactly what cdist adds
+    for the label coordinate of augmented points. sigma is the median of
+    the entries' square roots, taken on the squares since sqrt is
+    monotone, so it has the bits of np.median(pdist(augment(...))). When no
+    cross-class entry is below a same-class one, only the block that holds
+    the median index is partitioned.
+    """
+    squares, same, top = _class_squares(pool)
+    if c is None:
+        c = _root(top)
+    if squares.size == 0:
+        raise DetectorError("median heuristic needs at least two points")
+    pos, neg = pool.X[pool.y == 1], pool.X[pool.y == -1]
+    cross = squares[same:]
+    cdist(pos, neg, "sqeuclidean", out=cross.reshape(pos.shape[0], neg.shape[0]))
+    cross += c * c
+    # np.median's own expression on one in-place partition: part[:j].max()
+    # is the order statistic just below part[j].
+    k = squares.size // 2
+    part, j = squares, k
+    if top is not None and cross.size and cross.min() >= top:
+        part, j = (squares[:same], k) if k < same else (cross, k - same)
+    part.partition(j)
+    upper = float(part[j])
+    if upper == 0.0 and squares.max() == 0.0:
+        raise DetectorError("degenerate pool: all pairwise distances are zero")
+    if squares.size % 2:
+        return c, math.sqrt(upper)
+    lower = float(part[:j].max()) if j else top  # j = 0: below the cross block
+    return c, float(np.mean([math.sqrt(lower), math.sqrt(upper)]))
 
 
 def median_heuristic_sigma(pool: Dataset, c: float) -> float:
@@ -182,18 +213,7 @@ def median_heuristic_sigma(pool: Dataset, c: float) -> float:
     (plain median, bit-identical to np.median). Errors out when every
     pairwise distance is zero.
     """
-    if len(pool) < 2:
-        raise DetectorError("median heuristic needs at least two points")
-    dists = _pair_distances(augment(pool.X, pool.y, c))
-    if float(dists.max()) == 0.0:
-        raise DetectorError("degenerate pool: all pairwise distances are zero")
-    # np.median's own expression, on one in-place partition instead of a
-    # partitioned copy: part[:k].max() is the (k-1)-th order statistic.
-    k = dists.size // 2
-    dists.partition(k)
-    if dists.size % 2:
-        return float(dists[k])
-    return float(np.mean([dists[:k].max(), dists[k]]))
+    return _calibrate(pool, c)[1]
 
 
 @dataclass(frozen=True)
@@ -221,8 +241,7 @@ class DetectorConfig:
 
     @classmethod
     def from_pool(cls, pool: Dataset, alpha: float = 0.05) -> "DetectorConfig":
-        c = label_scale(pool)
-        sigma = median_heuristic_sigma(pool, c)
+        c, sigma = _calibrate(pool)
         return cls(alpha=alpha, sigma=sigma, label_scale_c=c, kernel_bound=1.0)
 
     def to_dict(self) -> dict:
@@ -240,19 +259,63 @@ class DetectionVerdict:
         return asdict(self)
 
 
+# Bytes of kernel values one chunk of `mmd`'s sums holds at once, about.
+_CHUNK_BYTES = 1 << 20
+
+
+def _kernel_sums(A: np.ndarray, B: np.ndarray, sigma: float) -> tuple[float, float]:
+    """The sums of k(a_i, b_j) over i < j and of k(a_i, b_i) over i.
+
+    Rows of A go in fixed chunks of about `_CHUNK_BYTES` of kernel values;
+    each chunk takes its part of both sums, and the parts add up in chunk
+    order. The chunks depend only on the shapes, so the bits do not depend
+    on how `_in_row_blocks` spreads the chunks over workers, and no
+    len(A) x len(B) matrix is allocated.
+    """
+    rows, cols = min(A.shape[0], B.shape[0]), B.shape[0]
+    step = max(1, _CHUNK_BYTES // (8 * cols))
+    starts = np.arange(0, rows, step)
+    upper = np.empty(starts.size)
+    diag = np.empty(starts.size)
+    scale = -2.0 * sigma * sigma  # as in `gram`
+
+    def task(lo, hi):
+        for chunk in range(lo, hi):
+            first = starts[chunk]
+            k = min(step, rows - first)
+            E = cdist(A[first:first + k], B[first:], "sqeuclidean")
+            np.divide(E, scale, out=E)
+            np.exp(E, out=E)
+            diag[chunk] = np.trace(E[:, :k])
+            upper[chunk] = np.triu(E[:, :k], 1).sum() + E[:, k:].sum()
+
+    _in_row_blocks(task, np.minimum(step, rows - starts) * (cols - starts))
+    return float(upper.sum()), float(diag.sum())
+
+
 def mmd(Z: np.ndarray, Zp: np.ndarray, cfg: DetectorConfig) -> float:
     """Biased empirical MMD between two augmented samples.
 
-    The radicand is clamped at zero before the square root to absorb
-    negative floating-point residue of order -1e-17.
+    Each kernel sum sum_ij k(a_i, b_j) is taken as its part above the
+    diagonal, its part below (the part above, of (B, A)) and the diagonal
+    (`_kernel_sums`). A sample's own sum computes the part above once and
+    doubles it. So when Z and Zp are equal all three sums have equal bits,
+    and MMD(Z, Z) = 0 holds exactly. The radicand is clamped at zero before
+    the square root to absorb negative floating-point residue of order
+    -1e-17.
     """
     Z = np.atleast_2d(Z)
     Zp = np.atleast_2d(Zp)
-    if Z.shape[0] < 1 or Zp.shape[0] < 1:
+    n, m = Z.shape[0], Zp.shape[0]
+    if n < 1 or m < 1:
         raise DetectorError("mmd needs at least one point per sample")
-    term_nn = float(gram(Z, Z, cfg.sigma).mean())
-    term_nm = float(gram(Z, Zp, cfg.sigma).mean())
-    term_mm = float(gram(Zp, Zp, cfg.sigma).mean())
+    above_nn, diag_nn = _kernel_sums(Z, Z, cfg.sigma)
+    above_nm, diag_nm = _kernel_sums(Z, Zp, cfg.sigma)
+    below_nm, _ = _kernel_sums(Zp, Z, cfg.sigma)
+    above_mm, diag_mm = _kernel_sums(Zp, Zp, cfg.sigma)
+    term_nn = (above_nn + above_nn + diag_nn) / (n * n)
+    term_nm = (above_nm + below_nm + diag_nm) / (n * m)
+    term_mm = (above_mm + above_mm + diag_mm) / (m * m)
     return math.sqrt(max(term_nn - 2.0 * term_nm + term_mm, 0.0))
 
 

@@ -103,7 +103,9 @@ class SolverReport:
     re-checked against the detector; trajectory entries are
     (trainings_used_so_far, best_risk_so_far) and non-increasing in risk.
     feasibility_rejections counts every proposal that failed the detector:
-    random draws, beam's neighbour proposals and rounding candidates."""
+    random draws, beam's neighbour proposals and rounding candidates.
+    `to_dict` writes the nlp diagnostics' weights b, dense here, as their
+    support: {"indices": [...], "values": [...]}."""
 
     best: CandidateSet
     trainings_used: int
@@ -114,6 +116,12 @@ class SolverReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        diagnostics = dict(self.diagnostics)
+        if "b" in diagnostics:
+            b = np.asarray(diagnostics["b"])
+            support = np.flatnonzero(b)
+            diagnostics["b"] = {"indices": support.tolist(),
+                                "values": b[support].tolist()}
         return {
             "best_indices": list(self.best.indices),
             "best_risk": self.best.cached_risk,
@@ -123,7 +131,7 @@ class SolverReport:
             "trajectory": [[c, r] for c, r in self.trajectory],
             "solver_name": self.solver_name,
             "seed": self.seed,
-            "diagnostics": self.diagnostics,
+            "diagnostics": diagnostics,
         }
 
 
@@ -348,20 +356,23 @@ def solve_beam(
     repeatedly expands a random neighbor sample per beam state and keeps the
     w lowest-risk states, until the restart's share of the training budget
     is spent. States already evaluated within a restart are never retrained.
-    A restart whose draws keep fewer than w feasible subsets searches from
+    The initial draws of all restarts share one cap of 10 * max(B, w). A
+    restart whose draws keep fewer than w feasible subsets searches from
     those it has; one that scores none (its share of the budget is zero,
-    the deadline has passed or no draw was feasible) moves on to the next.
+    the deadline or the draw cap has passed or no draw was feasible) moves
+    on to the next.
     The wall-clock limit is checked before each draw and each neighbor's
     training; once it passes, no further subset is scored.
     """
     scorer = _Scorer(pool, secret, m, cfg, det, kernel, budget.wall_clock_limit)
     w = budget.beam_width
+    # one cap on the initial draws of all restarts together
     init_cap = DRAW_CAP_FACTOR * max(budget.max_trainings, w)
 
     for r in range(budget.restarts):
         budget_end = scorer.trainings + budget.per_restart(r)
-        batch = scorer.draw(rng, init_cap, min(w, budget_end - scorer.trainings),
-                            set())
+        batch = scorer.draw(rng, init_cap - scorer.draws,
+                            min(w, budget_end - scorer.trainings), set())
         evaluated = {idx: scorer.risk(idx) for idx in batch}
         if not evaluated:
             continue

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from covertrain import (
     save_dataset,
     split_train_test,
 )
+import covertrain.data as data
 from covertrain.data import _child_seed
 
 from conftest import gaussian_task, make_dataset
@@ -239,6 +242,71 @@ def test_any_text_loads_or_raises_data_error(tmp_path_factory, case):
         load_dataset(path)
     except DataError:
         pass
+
+
+_PLAIN_TOKENS = st.one_of(
+    st.sampled_from([
+        "1", "-1", "+1", "1.0", "-1.0", "0.5", "-0.0", " 2 ", "\t3", "1_0",
+        "1e5_0", "nan", "inf", "1e400", "-1e400", "1e-400", "0x10", "\u0661",
+        "", '"1"', '"1,-1"', "#1",
+    ]),
+    st.floats().map(repr),
+)
+_PLAIN_LABELS = st.sampled_from(["1", "-1", "+1", "1.0", " -1 ", "2", "nan", "1_0"])
+
+
+@st.composite
+def _plain_lines(draw, dim):
+    """A row of dim features and a label, most often; else a row of another
+    width, one with a trailing comma, or a blank or whitespace-only line."""
+    kind = draw(st.sampled_from(["row"] * 5 + ["width", "trailing", "blank"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if kind == "width":
+        return ",".join(draw(st.lists(_PLAIN_TOKENS, min_size=1, max_size=4)))
+    row = draw(st.lists(_PLAIN_TOKENS, min_size=dim, max_size=dim))
+    row.append(draw(_PLAIN_LABELS))
+    return ",".join(row) + ("," if kind == "trailing" else "")
+
+
+def _load_or_error(path):
+    """(X, y) of load_dataset(path), or the message of its DataError."""
+    try:
+        ds = load_dataset(path)
+    except DataError as exc:
+        return str(exc)
+    return ds.X, ds.y
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 2), st.booleans())
+def test_one_call_csv_equals_row_parser(tmp_path_factory, data_, dim, newline):
+    """The one-call CSV path and the row parser give equal X and y bits, or
+    the same DataError, and neither warns (an empty body included)."""
+    body = data_.draw(st.lists(_plain_lines(dim), max_size=6))
+    header = ",".join([f"f{j}" for j in range(dim)] + ["label"])
+    path = tmp_path_factory.mktemp("plain") / "d.csv"
+    path.write_text("\n".join([header] + body) + "\n" * newline, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = _load_or_error(path)
+        with mock.patch.object(data, "_plain_csv", return_value=None):
+            rows = _load_or_error(path)
+    if isinstance(rows, str):
+        assert fast == rows
+    else:
+        assert not isinstance(fast, str)
+        assert np.array_equal(fast[0], rows[0]) and np.array_equal(fast[1], rows[1])
+        assert np.array_equal(np.signbit(fast[0]), np.signbit(rows[0]))
+
+
+def test_saved_csv_takes_the_one_call_path(tmp_path):
+    ds = gaussian_task(5, 30)
+    path = tmp_path / "pool.csv"
+    save_dataset(ds, path)
+    with mock.patch.object(data, "_parse_features", side_effect=AssertionError):
+        back = load_dataset(path)
+    assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
 
 
 class TestSplit:

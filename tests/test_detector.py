@@ -9,6 +9,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -402,13 +403,37 @@ class TestGramMemoryGuard:
         K = gram(np.zeros((5, 2)), np.zeros((25, 2)), 1.0)  # exactly 1000 bytes
         assert np.array_equal(K, np.ones((5, 25)))
 
-    def test_kernel_and_detect_surface_the_error(self, tiny_memory):
+    def test_kernel_and_detect_surface_the_error(self, monkeypatch):
         pool = gaussian_task(30, 10)
         cfg = config(sigma=1.0, c=1.0)
+        sample = pool.subset(range(5))
+        unlimited = detect(pool, sample, cfg)
+        monkeypatch.setattr(detector, "_physical_memory", lambda: 1000)
         with pytest.raises(DetectorError, match="20x20"):
             PoolKernel(pool, cfg)
-        with pytest.raises(DetectorError, match="20x20"):
-            detect(pool, pool.subset(range(5)), cfg)
+        # detect sums its kernel values in chunks and allocates no n x n matrix
+        assert detect(pool, sample, cfg) == unlimited
+
+
+class TestPeakMemory:
+    def test_calibration_buffer_and_chunked_detect(self):
+        pool = gaussian_task(61, 500)  # n = 1000
+        n = len(pool)
+        cfg = DetectorConfig.from_pool(pool)
+        sample = pool.subset(range(0, n, 20))
+        tracemalloc.start()
+        try:
+            DetectorConfig.from_pool(pool)
+            calibrate = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            detect(pool, sample, cfg)
+            verify = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one buffer of the n(n-1)/2 squared distances, and a few small arrays
+        assert 8 * n * (n - 1) // 2 <= calibrate <= 8 * n * (n - 1) // 2 + (1 << 16)
+        # chunks of about 1 MB a worker, where one n x n matrix is 8 MB
+        assert verify < 8 * n * n // 2
 
 
 _coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -454,6 +479,34 @@ def _dense_weighted(K, b):
     value = math.sqrt(max(float(r.sum()) / (n * n) - 2 * P / (n * s) + Q / (s * s), 0.0))
     terms = (-2 * r / (n * s), 2 * P / (n * s * s), 2 * Kb / (s * s), -2 * Q / s ** 3)
     return value, terms
+
+
+@st.composite
+def _calibration_pools(draw):
+    """Pools of 2 to 40 points: balanced or imbalanced classes, one class
+    with a single member or none, free coordinates or a few repeated ones
+    (duplicate points, with equal or opposite labels)."""
+    n = draw(st.integers(2, 40))
+    positives = draw(st.one_of(st.integers(0, n), st.sampled_from([0, 1, n - 1, n])))
+    coords = draw(st.sampled_from([_coords, st.sampled_from([-1.0, 0.0, 2.5])]))
+    X = draw(arrays(np.float64, (n, draw(st.integers(1, 3))), elements=coords))
+    y = np.where(np.arange(n) < positives, 1, -1)
+    return make_dataset(X, draw(st.permutations(y)))
+
+
+def _textbook_calibration(pool):
+    """(c, sigma) from max(pdist(class)) and np.median(pdist(augment(...))),
+    or the message of the DetectorError that from_pool must raise."""
+    maxima = [pdist(pool.X[pool.y == sign]).max()
+              for sign in (-1, 1) if np.count_nonzero(pool.y == sign) >= 2]
+    if not maxima:
+        return "no class has two members"
+    c = float(max(maxima))
+    dists = pdist(augment(pool.X, pool.y, c))
+    if dists.max() == 0.0:
+        return "degenerate pool"
+    sigma = float(np.median(dists))
+    return (c, sigma) if sigma > 0.0 else "sigma must be positive"
 
 
 class TestProperties:
@@ -535,6 +588,44 @@ class TestProperties:
         if exact >= 1e-2:
             assert abs(weighted - exact) <= 1e-12
 
+    @settings(deadline=None)
+    @given(_calibration_pools())
+    def test_calibration_equals_textbook(self, pool):
+        want = _textbook_calibration(pool)
+        if isinstance(want, str):
+            with pytest.raises(DetectorError, match=want):
+                DetectorConfig.from_pool(pool)
+        else:
+            cfg = DetectorConfig.from_pool(pool)
+            assert (cfg.label_scale_c, cfg.sigma) == want
+
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 60),
+           st.integers(1, 3), st.integers(1, 8), _sigmas)
+    def test_mmd_bits_do_not_depend_on_workers(self, seed, n, m, d, rows, sigma):
+        gen = RngState(seed).generator
+        Z, Zp = gen.standard_normal((n, d)), gen.standard_normal((m, d))
+        cfg = config(sigma=sigma)
+        values = []
+        # chunks of `rows` rows of the pool term
+        with mock.patch.object(detector, "_CHUNK_BYTES", 8 * n * rows), \
+                mock.patch.object(detector, "_TASK_ENTRIES", 1):
+            for workers in (1, 2, 3):
+                with mock.patch.object(detector, "_WORKERS", workers):
+                    values.append(mmd(Z, Zp, cfg))
+        assert values[0] == values[1] == values[2]
+        textbook = (_textbook_gram(Z, Z, sigma).mean()
+                    - 2.0 * _textbook_gram(Z, Zp, sigma).mean()
+                    + _textbook_gram(Zp, Zp, sigma).mean())
+        assert abs(values[0] ** 2 - max(textbook, 0.0)) <= 1e-13
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 500), st.integers(1, 4))
+    def test_mmd_of_a_sample_with_itself_is_zero(self, seed, n, d):
+        Z = RngState(seed).generator.standard_normal((n, d))
+        assert mmd(Z, Z, config()) == 0.0
+        assert mmd(Z, Z.copy(), config(sigma=0.3)) == 0.0
+
 
 @st.composite
 def _block_pools(draw):
@@ -589,11 +680,15 @@ class TestRowBlocks:
     def test_block_path_equals_one_shot(self, pool, workers, sigma, c):
         Z = augment(pool.X, pool.y, c)
         recording, pools = _recording_pools()
+        cfg = config(sigma=sigma, c=c)
+        sample = Z[::2]
+        one_chunk = mmd(Z, sample, cfg)
         with recording, mock.patch.object(detector, "_TASK_ENTRIES", 1), \
-                mock.patch.object(detector, "_WORKERS", workers):
+                mock.patch.object(detector, "_WORKERS", workers), \
+                mock.patch.object(detector, "_CHUNK_BYTES", 8 * len(pool)):
             K = gram(Z, Z, sigma)
             row_sums, pool_term = detector._pool_sums(K)
-            dists = detector._pair_distances(Z)
+            chunked = mmd(Z, sample, cfg)  # one row per chunk
             sigma_blocks = _or_error(median_heuristic_sigma, pool, c)
             c_blocks = _or_error(label_scale, pool)
         if len(pool) >= 2:  # n below the worker count included
@@ -601,8 +696,10 @@ class TestRowBlocks:
         assert np.array_equal(K, _textbook_gram(Z, Z, sigma))
         assert np.array_equal(row_sums, K.sum(axis=1))
         assert pool_term == float(K.sum(axis=1).sum()) / len(pool) ** 2
+        # the chunks' sums add up in another order than one chunk's, so the
+        # radicands agree to rounding, which the square root magnifies near 0
+        assert abs(chunked ** 2 - one_chunk ** 2) <= 1e-13
         one_shot = pdist(Z)
-        assert np.array_equal(np.sort(dists), np.sort(one_shot))
         if one_shot.size and one_shot.max() > 0.0:
             assert sigma_blocks == float(np.median(one_shot))
         else:
@@ -658,7 +755,7 @@ class TestRowBlocks:
 
     def test_more_workers_than_cores_under_fast_switching(self):
         Z = RngState(47).generator.standard_normal((64, 3))
-        K_want, d_want = _textbook_gram(Z, Z, 1.3), np.sort(pdist(Z))
+        K_want = _textbook_gram(Z, Z, 1.3)
         results = []
 
         def run():
@@ -667,14 +764,16 @@ class TestRowBlocks:
                 results.append(
                     np.array_equal(K, K_want)
                     and np.array_equal(detector._pool_sums(K)[0], K.sum(axis=1))
-                    and np.array_equal(np.sort(detector._pair_distances(Z)), d_want))
+                    and mmd(Z, Z, config(sigma=1.3)) == 0.0)
 
         interval = sys.getswitchinterval()
         recording, pools = _recording_pools()
         try:
             sys.setswitchinterval(1e-6)
+            # mmd's chunks of one row: 64 chunks in each of its 4 passes
             with recording, mock.patch.object(detector, "_WORKERS", 8), \
-                    mock.patch.object(detector, "_TASK_ENTRIES", 1):
+                    mock.patch.object(detector, "_TASK_ENTRIES", 1), \
+                    mock.patch.object(detector, "_CHUNK_BYTES", 8 * 64):
                 thread = threading.Thread(target=run)
                 thread.start()
                 thread.join(timeout=60.0)
@@ -683,7 +782,7 @@ class TestRowBlocks:
         assert not thread.is_alive()
         assert results == [True] * 20
         # 8 blocks a pass: 7 of them on threads, whatever the 2 CPUs
-        assert len(pools) == 60 and all(len(p.blocks) == 7 for p in pools)
+        assert len(pools) == 120 and all(len(p.blocks) == 7 for p in pools)
 
     def test_rectangular_blocks_and_small_work(self):
         gen = RngState(41).generator
@@ -709,13 +808,14 @@ class TestRowBlocks:
 
         before = set(threading.enumerate())
         with mock.patch.object(detector, "_TASK_ENTRIES", 1), \
-                mock.patch.object(detector, "_WORKERS", 3):
+                mock.patch.object(detector, "_WORKERS", 3), \
+                mock.patch.object(detector, "_CHUNK_BYTES", 8 * 40 * 4):
             detector._in_row_blocks(task, np.ones(6))
             workers = [t for t in ran_on if t is not threading.current_thread()]
             assert len(ran_on) == 3 and len(workers) == 2
             assert not any(t.is_alive() for t in workers)
             detector._pool_sums(gram(Z, Z, 0.9))
-            detector._pair_distances(Z)
+            mmd(Z, Z[:10], config(sigma=0.9))
             assert set(threading.enumerate()) <= before
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -154,9 +155,10 @@ class TestSolveUniform:
         assert run.draw(RngState(1), 7, 2, set()) == []
         assert run.draw(RngState(2), 5, 1, None) == []
         assert run.draws == len(calls) == 12
+        messages = []
         for solve in (
             lambda: solve_uniform(pool, secret, 3, learner_cfg, det,
-                                  SolverBudget(max_trainings=5), RngState(1)),
+                                  SolverBudget(max_trainings=6), RngState(1)),
             lambda: solve_beam(pool, secret, 3, learner_cfg, det,
                                SolverBudget(max_trainings=6, restarts=2,
                                             beam_width=3), RngState(1)),
@@ -166,7 +168,9 @@ class TestSolveUniform:
                 solve()
             assert str(raised.value) == (
                 f"feasible region unreachable: no feasible subset in {len(calls)} draws")
-            assert len(calls) > 0
+            messages.append(str(raised.value))
+        # one cap of 10 B draws, shared by beam's two restarts
+        assert messages == [messages[0]] * 2 and "in 60 draws" in messages[0]
 
     def test_trajectory_non_increasing(self, learner_cfg):
         pool, secret, det = brute_instance()
@@ -337,9 +341,17 @@ class TestSolveBeam:
         pool, secret, det, _ = tightened_instance()
         budget = SolverBudget(max_trainings=20, restarts=2, beam_width=3,
                               neighbors_per_state=3)
-        alone = solve_beam(pool, secret, 20, learner_cfg, det,
-                           replace(budget, max_trainings=10, restarts=1),
-                           RngState(7))
+        draws = []
+
+        def counted(*args):
+            draws.append(1)
+            return sample_subset(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "sample_subset", counted)
+            alone = solve_beam(pool, secret, 20, learner_cfg, det,
+                               replace(budget, max_trainings=10, restarts=1),
+                               RngState(7))
         trainings = []
         feasible = PoolKernel.feasible
 
@@ -357,8 +369,9 @@ class TestSolveBeam:
         assert report.trainings_used == alone.trainings_used == 10
         assert report.best == alone.best
         assert report.trajectory == alone.trajectory
+        # restart 1 is rejected on every draw the shared cap has left
         assert (report.feasibility_rejections
-                == alone.feasibility_rejections + init_cap)
+                == alone.feasibility_rejections + init_cap - len(draws))
 
     def test_wall_clock_limit_before_first_evaluation(self, learner_cfg):
         pool, secret, det = brute_instance()
@@ -666,6 +679,19 @@ class TestSolveNlp:
         r1 = solve_nlp(pool, secret, 5, learner_cfg, det, seed_set, budget)
         r2 = solve_nlp(pool, secret, 5, learner_cfg, det, seed_set, budget)
         assert r1.to_dict() == r2.to_dict()
+
+    def test_to_dict_writes_b_as_its_support(self, learner_cfg):
+        pool, secret, det = relaxed_instance(seed=231)
+        seed_set = sample_subset(pool, 5, RngState(97))
+        report = solve_nlp(pool, secret, 5, learner_cfg, det, seed_set,
+                           SolverBudget(max_trainings=NO_CAP))
+        dense = report.diagnostics["b"]
+        assert len(dense) == len(pool)
+        support = json.loads(json.dumps(report.to_dict()))["diagnostics"]["b"]
+        assert len(support["indices"]) == np.count_nonzero(dense) < len(pool)
+        expanded = np.zeros(len(pool))
+        expanded[support["indices"]] = support["values"]
+        assert np.array_equal(expanded, dense)
 
     def test_budget_too_small_for_rounding(self, learner_cfg):
         pool, secret, det = relaxed_instance(seed=233)

@@ -51,6 +51,13 @@ def plain_numbers(obj) -> None:
             object.__setattr__(obj, f.name, value.item())
 
 
+def _check_role(role: str, rows: int) -> None:
+    if role not in ROLES:
+        raise DataError(f"unknown role {role!r}")
+    if role in ("camouflage_pool", "secret_set") and rows == 0:
+        raise DataError("empty dataset")
+
+
 class Dataset:
     """Immutable ordered collection of labeled instances.
 
@@ -71,15 +78,15 @@ class Dataset:
             raise DataError(
                 f"{X.shape[0]} feature rows but {y.shape[0]} labels"
             )
-        if role not in ROLES:
-            raise DataError(f"unknown role {role!r}")
-        if role in ("camouflage_pool", "secret_set") and X.shape[0] == 0:
-            raise DataError("empty dataset")
+        _check_role(role, X.shape[0])
         if not np.all(np.isfinite(X)):
             raise DataError("non-finite feature value")
         bad = y[(y != 1) & (y != -1)]
         if bad.size:
             raise DataError(f"label must be -1 or +1, got {bad[0]}")
+        self._set(X, y, role)
+
+    def _set(self, X: np.ndarray, y: np.ndarray, role: str) -> None:
         X.setflags(write=False)
         y.setflags(write=False)
         self.X = X
@@ -94,11 +101,22 @@ class Dataset:
         return self.X.shape[0]
 
     def subset(self, indices, role: str = "training_set") -> "Dataset":
-        """Materialize the instances at `indices`, preserving their order."""
+        """Materialize the instances at `indices`, preserving their order.
+
+        The rows come from a validated dataset, so a 1-D index array gathers
+        them once and checks only the index range and the role; the result
+        equals Dataset(self.X[idx], self.y[idx], role) in bits, dtypes and
+        flags, and so does any error.
+        """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
             raise DataError("subset index out of range")
-        return Dataset(self.X[idx], self.y[idx], role=role)
+        if idx.ndim != 1:  # the constructor names the shape it rejects
+            return Dataset(self.X[idx], self.y[idx], role=role)
+        _check_role(role, idx.size)
+        sub = object.__new__(Dataset)
+        sub._set(self.X.take(idx, axis=0), self.y[idx], role)
+        return sub
 
     def __repr__(self) -> str:
         return f"Dataset(n={len(self)}, d={self.dimension}, role={self.role!r})"

@@ -23,9 +23,9 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .data import CandidateSet, Dataset
 
@@ -97,6 +97,20 @@ def _in_row_blocks(task, row_cost: np.ndarray) -> None:
         future.result()
 
 
+def _kernels(A: np.ndarray, B: np.ndarray, scale: float,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """exp(cdist(A, B, "sqeuclidean") / scale), in place in `out` when given,
+    with scale = -2 sigma^2: every kernel value the detector uses comes from
+    here. Dividing by -2 sigma^2 gives the bits of negating, then dividing by
+    2 sigma^2, in one pass. scipy.spatial loads on the first call, not when
+    covertrain is imported."""
+    from scipy.spatial.distance import cdist
+
+    E = cdist(A, B, "sqeuclidean", out=out)
+    np.divide(E, scale, out=E)
+    return np.exp(E, out=E)
+
+
 def gram(Z1: np.ndarray, Z2: np.ndarray, sigma: float) -> np.ndarray:
     """Kernel matrix between two point sets, shape (len(Z1), len(Z2)).
 
@@ -120,17 +134,9 @@ def gram(Z1: np.ndarray, Z2: np.ndarray, sigma: float) -> np.ndarray:
             f"{available} bytes of physical memory"
         )
     K = np.empty((rows, cols))
-    # Dividing by -2 sigma^2 gives the bits of negating, then dividing by
-    # 2 sigma^2, in one pass.
     scale = -2.0 * sigma * sigma
-
-    def block(lo, hi):
-        part = K[lo:hi]
-        cdist(Z1[lo:hi], Z2, "sqeuclidean", out=part)
-        np.divide(part, scale, out=part)
-        np.exp(part, out=part)
-
-    _in_row_blocks(block, np.full(rows, cols))
+    _in_row_blocks(lambda lo, hi: _kernels(Z1[lo:hi], Z2, scale, out=K[lo:hi]),
+                   np.full(rows, cols))
     return K
 
 
@@ -139,6 +145,8 @@ def _class_squares(pool: Dataset) -> tuple[np.ndarray, int, float | None]:
     points, holding so far each class's pairs (pdist, sqeuclidean) at its
     front, class -1's first; their count; and their maximum, the square of
     the label scale (None when no class has two members)."""
+    from scipy.spatial.distance import pdist
+
     n = len(pool)
     squares = np.empty(n * (n - 1) // 2)
     same = 0
@@ -180,6 +188,8 @@ def _calibrate(pool: Dataset, c: float | None = None) -> tuple[float, float]:
     cross-class entry is below a same-class one, only the block that holds
     the median index is partitioned.
     """
+    from scipy.spatial.distance import cdist
+
     squares, same, top = _class_squares(pool)
     if c is None:
         c = _root(top)
@@ -277,15 +287,13 @@ def _kernel_sums(A: np.ndarray, B: np.ndarray, sigma: float) -> tuple[float, flo
     starts = np.arange(0, rows, step)
     upper = np.empty(starts.size)
     diag = np.empty(starts.size)
-    scale = -2.0 * sigma * sigma  # as in `gram`
+    scale = -2.0 * sigma * sigma
 
     def task(lo, hi):
         for chunk in range(lo, hi):
             first = starts[chunk]
             k = min(step, rows - first)
-            E = cdist(A[first:first + k], B[first:], "sqeuclidean")
-            np.divide(E, scale, out=E)
-            np.exp(E, out=E)
+            E = _kernels(A[first:first + k], B[first:], scale)
             diag[chunk] = np.trace(E[:, :k])
             upper[chunk] = np.triu(E[:, :k], 1).sum() + E[:, k:].sum()
 
@@ -316,7 +324,7 @@ def mmd(Z: np.ndarray, Zp: np.ndarray, cfg: DetectorConfig) -> float:
     term_nn = (above_nn + above_nn + diag_nn) / (n * n)
     term_nm = (above_nm + below_nm + diag_nm) / (n * m)
     term_mm = (above_mm + above_mm + diag_mm) / (m * m)
-    return math.sqrt(max(term_nn - 2.0 * term_nm + term_mm, 0.0))
+    return _mmd_root(term_nn, term_nm, term_mm)
 
 
 def mmd_threshold(n: int, m: int, cfg: DetectorConfig) -> float:
@@ -357,25 +365,58 @@ def weighted_mmd(pool_augmented: np.ndarray, b: np.ndarray, cfg: DetectorConfig)
         [ (1/n^2) sum_ij k_ij - (2/(n s)) sum_ij b_i k_ij
           + (1/s^2) sum_ij b_i b_j k_ij ]^(1/2)
 
-    and reduces exactly to mmd(C, C_S) when b is the indicator of S.
+    and reduces exactly to mmd(C, C_S) when b is the indicator of S. No n x n
+    matrix is allocated: the row sums take one chunked pass (`_row_sums`) and
+    the last term reads kernel blocks on the support of b (`_weighted`), so
+    the value has the bits of `PoolKernel.weighted`.
     """
-    K = gram(pool_augmented, pool_augmented, cfg.sigma)
-    b = _check_weights(b, K.shape[0])
-    return _weighted_mmd(b, _support_product(K, b), *_pool_sums(K))
+    Z = np.atleast_2d(pool_augmented)
+    b = _check_weights(b, Z.shape[0])
+    scale = -2.0 * cfg.sigma * cfg.sigma
+    return _weighted(b, *_row_sums(Z, scale), partial(_computed_block, Z, scale))
 
 
-def _pool_sums(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Row sums of a pool Gram matrix, and their total over n^2 (the
-    weight-free first term of the MMD radicand). Each row reduces as in
-    K.sum(axis=1), in row blocks (`_in_row_blocks`) for a large K."""
-    n = K.shape[0]
-    row_sums = np.empty(n)
+def _mmd_root(pool_term: float, cross: float, within: float) -> float:
+    """The MMD from the means of its three kernel sums. The radicand is
+    clamped at zero before the square root to absorb negative floating-point
+    residue."""
+    return math.sqrt(max(pool_term - 2.0 * cross + within, 0.0))
 
-    def block(lo, hi):
-        np.sum(K[lo:hi], axis=1, out=row_sums[lo:hi])
 
-    _in_row_blocks(block, np.full(n, n))
-    return row_sums, float(row_sums.sum()) / (n * n)
+def _row_sums(Z: np.ndarray, scale: float,
+              K: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Row sums of the Gram matrix of Z, each with the bits of
+    K.sum(axis=1), and their total over n^2 (the weight-free first term of
+    the MMD radicand).
+
+    The sums are read from K when it is given. Otherwise each row block
+    (`_in_row_blocks`) computes its rows in chunks (`_kernels`) into one
+    buffer, so all blocks together hold about `_CHUNK_BYTES` of kernel
+    values at once and no n x n matrix is allocated.
+    """
+    n = Z.shape[0]
+    sums = np.empty(n)
+
+    def task(lo, hi):
+        if K is not None:
+            np.sum(K[lo:hi], axis=1, out=sums[lo:hi])
+            return
+        step = max(1, _CHUNK_BYTES * (hi - lo) // (8 * n * n))
+        buf = np.empty((min(step, hi - lo), n))
+        for first in range(lo, hi, step):
+            last = min(first + step, hi)
+            part = _kernels(Z[first:last], Z, scale, out=buf[:last - first])
+            np.sum(part, axis=1, out=sums[first:last])
+
+    _in_row_blocks(task, np.full(n, n))
+    return sums, float(sums.sum()) / (n * n)
+
+
+def _computed_block(Z: np.ndarray, scale: float, rows: np.ndarray,
+                    cols: np.ndarray | None = None) -> np.ndarray:
+    """k(z_i, z_j) for i in `rows` and j in `cols` (every column when cols
+    is None), computed: entry for entry the bits of the Gram matrix."""
+    return _kernels(Z[rows], Z if cols is None else Z[cols], scale)
 
 
 def _check_weights(b, n: int) -> np.ndarray:
@@ -394,47 +435,53 @@ def _check_weights(b, n: int) -> np.ndarray:
     return b
 
 
-# Bytes of K's rows gathered at once by `_support_product`.
-_GATHER_BYTES = 1 << 23
-
-
-def _support_product(K: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """K @ b for a symmetric K, as b[S] @ K[S] over the support S of b.
-
-    Costs O(|S| n) instead of O(n^2). Every nonzero weight is in S, the
-    slightly negative ones that `_check_weights` allows included. K's rows
-    are gathered in blocks of at most `_GATHER_BYTES`, so a dense b never
-    copies K whole.
-    """
-    n = K.shape[0]
-    support = np.flatnonzero(b)
-    step = max(1, _GATHER_BYTES // (8 * n))
-    Kb = np.zeros(n)
+def _support_rows(b: np.ndarray, support: np.ndarray, block,
+                  cols: np.ndarray | None = None) -> np.ndarray:
+    """b[S] @ block(S, cols) over the support S of b, in chunks of rows of
+    about `_CHUNK_BYTES` of kernel values each. Every nonzero weight is in
+    S, the slightly negative ones that `_check_weights` allows included.
+    The chunks depend only on the shapes, so a gathered and a computed block
+    give the same bits."""
+    width = b.shape[0] if cols is None else cols.size
+    step = max(1, _CHUNK_BYTES // (8 * width))
+    total = np.zeros(width)
     for start in range(0, support.size, step):
         rows = support[start:start + step]
-        Kb += b[rows] @ K[rows]
-    return Kb
+        total += b[rows] @ block(rows, cols)
+    return total
 
 
-def _weighted_mmd(
-    b: np.ndarray, Kb: np.ndarray, row_sums: np.ndarray, pool_term: float
-) -> float:
-    """The weighted MMD from checked weights b, the product K @ b and the
-    pool's `_pool_sums`."""
+def _weighted(b: np.ndarray, row_sums: np.ndarray, pool_term: float,
+              block) -> float:
+    """The weighted MMD from checked weights b, the pool's `_row_sums` and
+    its kernel blocks, block(rows, cols). The last term is
+    b[S] @ K[S, S] @ b[S] over the support S of b, so it costs O(|S|^2)."""
     n = row_sums.shape[0]
     s = float(b.sum())
-    term_ns = float(b @ row_sums) / (n * s)
-    term_ss = float(b @ Kb) / (s * s)
-    return math.sqrt(max(pool_term - 2.0 * term_ns + term_ss, 0.0))
+    support = np.flatnonzero(b)
+    within = float(_support_rows(b, support, block, support) @ b[support])
+    return _mmd_root(pool_term, float(b @ row_sums) / (n * s), within / (s * s))
+
+
+# Bytes of the largest Gram matrix a PoolKernel stores. Timed on random
+# subsets (2-core VM, one BLAS thread), a 100 x 100 block at n = 1000 and
+# d = 20 takes 56 us to gather and 119 us to compute; at n = 3000 and d = 2
+# it takes 215 us to gather, its rows missing the cache, and 51 us to
+# compute (50 x 50: 56 against 21 us). So pools up to 1448 points (a 16 MB
+# matrix), beam search's n = 1000 pools among them, store the matrix, and
+# larger ones keep only their points and row sums.
+_GRAM_CAP_BYTES = 1 << 24
 
 
 class PoolKernel:
-    """Precomputed Gram machinery for one pool under one detector config.
+    """Kernel machinery for one pool under one detector config.
 
-    The (n, n) kernel matrix over the augmented pool and its row sums are
-    computed once, in row blocks (`_in_row_blocks`) for a large pool
-    (bit-identical to one pass), and shared read-only, so a candidate's MMD
-    costs O(nm + m^2) and the weighted variant and its gradient
+    The pool's augmented points and the row sums of its Gram matrix are
+    computed once and shared read-only. A pool whose n x n float64 Gram
+    matrix fits in `_GRAM_CAP_BYTES` also stores the matrix, and every kernel
+    block is gathered from it; a larger pool computes each block it needs
+    (`_block`), with the same bits. So a candidate's MMD costs O(m^2) kernel
+    values, the weighted variant O(|supp b|^2) and its gradient
     O(|supp b| n). All methods are pure.
     """
 
@@ -442,10 +489,21 @@ class PoolKernel:
         self.cfg = cfg
         self.pool = pool
         self.n = len(pool)
-        Z = augment(pool.X, pool.y, cfg.label_scale_c)
-        self.K = gram(Z, Z, cfg.sigma)
-        self.K.setflags(write=False)
-        self._row_sums, self._pool_term = _pool_sums(self.K)
+        self._Z = augment(pool.X, pool.y, cfg.label_scale_c)
+        self._scale = -2.0 * cfg.sigma * cfg.sigma
+        self._K = None
+        if 8 * self.n * self.n <= _GRAM_CAP_BYTES:
+            self._K = gram(self._Z, self._Z, cfg.sigma)
+            self._K.setflags(write=False)
+        self._row_sums, self._pool_term = _row_sums(self._Z, self._scale, self._K)
+
+    def _block(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """k(z_i, z_j) for i in `rows` and j in `cols` (index arrays; every
+        column when cols is None), from the stored Gram matrix or computed."""
+        K = self._K
+        if K is None:
+            return _computed_block(self._Z, self._scale, rows, cols)
+        return K[rows] if cols is None else K[np.ix_(rows, cols)]
 
     def fits(self, pool: Dataset, cfg: DetectorConfig) -> bool:
         """True when this is the kernel of `pool`'s contents under `cfg`."""
@@ -461,8 +519,8 @@ class PoolKernel:
         if m < 1:
             raise DetectorError("cannot test an empty candidate set")
         cross = float(self._row_sums[idx].sum()) / (self.n * m)
-        within = float(self.K[np.ix_(idx, idx)].sum()) / (m * m)
-        return math.sqrt(max(self._pool_term - 2.0 * cross + within, 0.0))
+        within = float(self._block(idx, idx).sum()) / (m * m)
+        return _mmd_root(self._pool_term, cross, within)
 
     def psi_indices(self, indices) -> float:
         return self.mmd_indices(indices) - self.threshold(len(indices))
@@ -472,25 +530,24 @@ class PoolKernel:
         return self.psi_indices(indices) <= -slack
 
     def weighted(self, b: np.ndarray) -> float:
-        b = _check_weights(b, self.n)
-        return _weighted_mmd(b, _support_product(self.K, b), self._row_sums,
-                             self._pool_term)
+        return _weighted(_check_weights(b, self.n), self._row_sums,
+                         self._pool_term, self._block)
 
     def weighted_grad(self, b: np.ndarray) -> np.ndarray:
         """Gradient of the weighted MMD w.r.t. b (zero where the radicand
-        vanishes, where the square root is not differentiable)."""
+        vanishes, where the square root is not differentiable). It needs
+        K @ b in full, read as the rows of K on the support of b."""
         b = _check_weights(b, self.n)
-        s = float(b.sum())
-        r = self._row_sums
-        Kb = _support_product(self.K, b)
+        n, s, r = self.n, float(b.sum()), self._row_sums
+        Kb = _support_rows(b, np.flatnonzero(b), self._block)
         P = float(b @ r)
         Q = float(b @ Kb)
-        value = _weighted_mmd(b, Kb, r, self._pool_term)
+        value = _mmd_root(self._pool_term, P / (n * s), Q / (s * s))
         if value < 1e-12:
             return np.zeros_like(b)
         dV = (
-            -2.0 * r / (self.n * s)
-            + 2.0 * P / (self.n * s * s)
+            -2.0 * r / (n * s)
+            + 2.0 * P / (n * s * s)
             + 2.0 * Kb / (s * s)
             - 2.0 * Q / (s ** 3)
         )

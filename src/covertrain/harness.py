@@ -204,8 +204,10 @@ def select_cover_task(
             if report.best.cached_risk < chosen_risk:
                 chosen_risk = report.best.cached_risk
                 chosen = (i, report.best, kernel)
-        # Only the winner's n x n kernel may outlive its iteration, so at
-        # most two kernels are alive while the next one is built.
+        # Only the winner's kernel may outlive its iteration, so at most two
+        # are alive while the next one is built. A kernel stores an n x n
+        # Gram matrix only below the detector's 16 MB cap; a larger pool's
+        # kernel holds its points and row sums only.
         del kernel
     if chosen is None:
         raise SolverError(

@@ -24,9 +24,26 @@ from covertrain import (
     split_train_test,
 )
 import covertrain.data as data
-from covertrain.data import _child_seed
+from covertrain.data import ROLES, _child_seed
 
 from conftest import gaussian_task, make_dataset
+
+
+def _constructed_subset(ds, indices, role):
+    """The subset as a fresh Dataset of the gathered rows, which validates
+    them again."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= len(ds)):
+        raise DataError("subset index out of range")
+    return Dataset(ds.X[idx], ds.y[idx], role=role)
+
+
+def _subset_or_error(call, *args):
+    """call(*args), or the message of the DataError it raises."""
+    try:
+        return call(*args)
+    except DataError as exc:
+        return str(exc)
 
 
 class TestDataset:
@@ -62,6 +79,30 @@ class TestDataset:
         sub = ds.subset([1, 3, 7])
         assert np.array_equal(sub.X, ds.X[[1, 3, 7]])
         assert np.array_equal(sub.y, ds.y[[1, 3, 7]])
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_subset_equals_the_constructor(self, data):
+        ds = gaussian_task(data.draw(st.integers(0, 99)), data.draw(st.integers(1, 4)),
+                           dim=data.draw(st.integers(1, 3)))
+        n = len(ds)
+        indices = data.draw(st.one_of(
+            st.lists(st.integers(-2, n + 1), max_size=12),  # empty, out of range
+            st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2),
+                     max_size=3),  # 2-D
+            st.integers(-1, n),  # a scalar
+        ))
+        role = data.draw(st.sampled_from(ROLES + ("no_such_role",)))
+        got = _subset_or_error(ds.subset, indices, role)
+        want = _subset_or_error(_constructed_subset, ds, indices, role)
+        if isinstance(want, str):
+            assert got == want
+            return
+        for a, b in ((got.X, want.X), (got.y, want.y)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable and a.flags.c_contiguous
+        assert got.role == want.role
 
 
 class TestCandidateSet:

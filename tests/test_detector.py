@@ -6,15 +6,18 @@ from __future__ import annotations
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.spatial.distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -43,6 +46,16 @@ from conftest import gaussian_task, make_dataset
 
 def config(sigma=1.0, alpha=0.05, c=0.0, K=1.0):
     return DetectorConfig(alpha=alpha, sigma=sigma, label_scale_c=c, kernel_bound=K)
+
+
+def dense_kernels():
+    """PoolKernels built under this patch store their Gram matrix."""
+    return mock.patch.object(detector, "_GRAM_CAP_BYTES", math.inf)
+
+
+def gram_free_kernels():
+    """PoolKernels built under this patch compute every kernel block."""
+    return mock.patch.object(detector, "_GRAM_CAP_BYTES", 0)
 
 
 def rbf(z1, z2, sigma):
@@ -395,7 +408,8 @@ class TestGramMemoryGuard:
         def no_cdist(*args, **kwargs):
             raise AssertionError("distance matrix allocated")
 
-        monkeypatch.setattr(detector, "cdist", no_cdist)
+        # the detector imports cdist from scipy on each call
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", no_cdist)
         with pytest.raises(DetectorError, match=r"20x12 Gram matrix needs 1920 bytes"):
             gram(np.zeros((20, 2)), np.zeros((12, 2)), 1.0)
 
@@ -409,10 +423,20 @@ class TestGramMemoryGuard:
         sample = pool.subset(range(5))
         unlimited = detect(pool, sample, cfg)
         monkeypatch.setattr(detector, "_physical_memory", lambda: 1000)
-        with pytest.raises(DetectorError, match="20x20"):
+        # a kernel that stores its Gram matrix builds it through gram
+        with dense_kernels(), pytest.raises(DetectorError, match="20x20"):
             PoolKernel(pool, cfg)
         # detect sums its kernel values in chunks and allocates no n x n matrix
         assert detect(pool, sample, cfg) == unlimited
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # the detector imports its distance functions on first use
+    code = "import sys, covertrain; print('scipy.spatial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(detector.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestPeakMemory:
@@ -434,6 +458,27 @@ class TestPeakMemory:
         assert 8 * n * (n - 1) // 2 <= calibrate <= 8 * n * (n - 1) // 2 + (1 << 16)
         # chunks of about 1 MB a worker, where one n x n matrix is 8 MB
         assert verify < 8 * n * n // 2
+
+    def test_gram_free_kernel(self):
+        pool = gaussian_task(62, 1500)  # n = 3000
+        n = len(pool)
+        cfg = DetectorConfig.from_pool(pool)
+        gen = RngState(63).generator
+        idx = np.sort(gen.choice(n, size=50, replace=False))
+        b = np.zeros(n)
+        b[gen.choice(n, size=100, replace=False)] = gen.uniform(0.2, 0.8, size=100)
+        tracemalloc.start()
+        try:
+            kernel = PoolKernel(pool, cfg)
+            kernel.feasible(idx)
+            kernel.weighted(b)
+            grad = kernel.weighted_grad(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kernel._K is None and np.any(grad != 0.0)
+        # one Gram matrix at this size is 72 MB
+        assert peak < 8 << 20
 
 
 _coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -513,31 +558,40 @@ class TestProperties:
     @settings(deadline=None)
     @given(_pools())
     def test_kernel_is_exactly_symmetric(self, pool_cfg):
-        K = PoolKernel(*pool_cfg).K
+        with dense_kernels():
+            K = PoolKernel(*pool_cfg)._K
         assert np.array_equal(K, K.T)
 
     @settings(deadline=None)
     @given(st.data(), _pools())
     def test_support_product_matches_dense_formula(self, data, pool_cfg):
         pool, cfg = pool_cfg
-        kernel = PoolKernel(pool, cfg)
-        K = kernel.K
-        b = data.draw(_sparse_weights(len(pool)))
-        # blocks of 1 to n rows, so one gather or several may cover the support
-        rows = data.draw(st.integers(1, len(pool)))
-        with mock.patch.object(detector, "_GATHER_BYTES", 8 * len(pool) * rows):
-            Kb = detector._support_product(K, b)
+        n = len(pool)
+        K = _textbook_gram(*(2 * [augment(pool.X, pool.y, cfg.label_scale_c)]),
+                           cfg.sigma)
+        b = data.draw(_sparse_weights(n))
+        support = np.flatnonzero(b)
+        # chunks of 1 to n rows, so one block or several may cover the support
+        rows = data.draw(st.integers(1, n))
+        with data.draw(st.sampled_from([dense_kernels, gram_free_kernels]))():
+            kernel = PoolKernel(pool, cfg)
+        with mock.patch.object(detector, "_CHUNK_BYTES", 8 * n * rows):
+            assert np.array_equal(kernel._block(support, support),
+                                  K[np.ix_(support, support)])
+            assert np.array_equal(kernel._block(support), K[support])
+            Kb = detector._support_rows(b, support, kernel._block)
+            weighted = kernel.weighted(b)
+            grad = kernel.weighted_grad(b)
         # the rounding bound of a length-n dot product, far above n * eps
         assert np.all(np.abs(Kb - K @ b) <= 1e-12 * (K @ np.abs(b)))
         value, terms = _dense_weighted(K, b)
-        weighted = kernel.weighted(b)
         assert abs(weighted ** 2 - value ** 2) <= 1e-13
         if value >= 1e-2:  # away from 0, where the square root magnifies
             assert abs(weighted - value) <= 1e-12 * value
             # relative to the largest term the gradient sums
             scale = max(float(np.abs(t).max()) for t in terms) / (2 * value)
-            grad = sum(terms) / (2 * value)
-            assert np.all(np.abs(kernel.weighted_grad(b) - grad) <= 1e-12 * scale)
+            want = sum(terms) / (2 * value)
+            assert np.all(np.abs(grad - want) <= 1e-12 * scale)
 
     @settings(deadline=None)
     @given(st.data(), st.integers(2, 12), st.booleans(), st.floats(0.0, 5.0))
@@ -563,6 +617,30 @@ class TestProperties:
                               elements=_coords))
         expected = np.exp(-cdist(Z1, Z2, "sqeuclidean") / (2.0 * sigma * sigma))
         assert np.array_equal(gram(Z1, Z2, sigma), expected)
+
+    @settings(deadline=None)
+    @given(st.data(), _pools())
+    def test_storage_modes_agree_bit_for_bit(self, data, pool_cfg):
+        pool, cfg = pool_cfg
+        n = len(pool)
+        Z = augment(pool.X, pool.y, cfg.label_scale_c)
+        idx = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        b = data.draw(_sparse_weights(n))
+        # chunks of 1 to n rows, for the row sums and the weighted terms
+        rows = data.draw(st.integers(1, n))
+        with mock.patch.object(detector, "_CHUNK_BYTES", 8 * n * rows):
+            with dense_kernels():
+                dense = PoolKernel(pool, cfg)
+            with gram_free_kernels():
+                free = PoolKernel(pool, cfg)
+            values = [dense.weighted(b), free.weighted(b), weighted_mmd(Z, b, cfg)]
+            grads = [dense.weighted_grad(b), free.weighted_grad(b)]
+        assert dense._K is not None and free._K is None
+        assert np.array_equal(dense._row_sums, free._row_sums)
+        assert dense._pool_term == free._pool_term
+        assert dense.mmd_indices(idx) == free.mmd_indices(idx)
+        assert values[0] == values[1] == values[2]
+        assert np.array_equal(grads[0], grads[1])
 
     @settings(deadline=None)
     @given(st.data(), _pools())
@@ -687,7 +765,9 @@ class TestRowBlocks:
                 mock.patch.object(detector, "_WORKERS", workers), \
                 mock.patch.object(detector, "_CHUNK_BYTES", 8 * len(pool)):
             K = gram(Z, Z, sigma)
-            row_sums, pool_term = detector._pool_sums(K)
+            # computed in chunks of one row, and read from K
+            row_sums, pool_term = detector._row_sums(Z, -2.0 * sigma * sigma)
+            read_sums, read_term = detector._row_sums(Z, -2.0 * sigma * sigma, K)
             chunked = mmd(Z, sample, cfg)  # one row per chunk
             sigma_blocks = _or_error(median_heuristic_sigma, pool, c)
             c_blocks = _or_error(label_scale, pool)
@@ -695,7 +775,8 @@ class TestRowBlocks:
             assert any(p.blocks for p in pools)
         assert np.array_equal(K, _textbook_gram(Z, Z, sigma))
         assert np.array_equal(row_sums, K.sum(axis=1))
-        assert pool_term == float(K.sum(axis=1).sum()) / len(pool) ** 2
+        assert np.array_equal(read_sums, K.sum(axis=1))
+        assert pool_term == read_term == float(K.sum(axis=1).sum()) / len(pool) ** 2
         # the chunks' sums add up in another order than one chunk's, so the
         # radicands agree to rounding, which the square root magnifies near 0
         assert abs(chunked ** 2 - one_chunk ** 2) <= 1e-13
@@ -763,7 +844,8 @@ class TestRowBlocks:
                 K = gram(Z, Z, 1.3)
                 results.append(
                     np.array_equal(K, K_want)
-                    and np.array_equal(detector._pool_sums(K)[0], K.sum(axis=1))
+                    and np.array_equal(detector._row_sums(Z, -2.0 * 1.3 * 1.3)[0],
+                                       K.sum(axis=1))
                     and mmd(Z, Z, config(sigma=1.3)) == 0.0)
 
         interval = sys.getswitchinterval()
@@ -814,7 +896,8 @@ class TestRowBlocks:
             workers = [t for t in ran_on if t is not threading.current_thread()]
             assert len(ran_on) == 3 and len(workers) == 2
             assert not any(t.is_alive() for t in workers)
-            detector._pool_sums(gram(Z, Z, 0.9))
+            gram(Z, Z, 0.9)
+            detector._row_sums(Z, -2.0 * 0.9 * 0.9)
             mmd(Z, Z[:10], config(sigma=0.9))
             assert set(threading.enumerate()) <= before
 

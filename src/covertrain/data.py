@@ -111,7 +111,7 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
             raise DataError("subset index out of range")
-        if idx.ndim != 1:  # the constructor names the shape it rejects
+        if idx.ndim != 1:  # rows that are not 2-D: the constructor raises
             return Dataset(self.X[idx], self.y[idx], role=role)
         _check_role(role, idx.size)
         sub = object.__new__(Dataset)

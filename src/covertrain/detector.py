@@ -463,13 +463,16 @@ def _weighted(b: np.ndarray, row_sums: np.ndarray, pool_term: float,
     return _mmd_root(pool_term, float(b @ row_sums) / (n * s), within / (s * s))
 
 
-# Bytes of the largest Gram matrix a PoolKernel stores. Timed on random
-# subsets (2-core VM, one BLAS thread), a 100 x 100 block at n = 1000 and
-# d = 20 takes 56 us to gather and 119 us to compute; at n = 3000 and d = 2
-# it takes 215 us to gather, its rows missing the cache, and 51 us to
-# compute (50 x 50: 56 against 21 us). So pools up to 1448 points (a 16 MB
-# matrix), beam search's n = 1000 pools among them, store the matrix, and
-# larger ones keep only their points and row sums.
+# Bytes of the largest Gram matrix a PoolKernel stores. End to end, a kernel
+# that computed every block made beam-tight (n = 1000, d = 20) slower: op_s
+# 0.154 -> 0.191 s at the median, slower in 9 of 10 alternating 45 s pairs
+# (BENCH_gram_free_kernel.json, "cap_reason"). Timed on random subsets
+# (2-core VM, one BLAS thread), a 100 x 100 block there takes 56 us to
+# gather and 119 us to compute; at n = 3000 and d = 2 it takes 215 us to
+# gather, its rows missing the cache, and 51 us to compute. The cap reads n
+# alone: accept-run's n = 200, d = 2 pools store their matrix and were not
+# measurably slower for it. So pools up to 1448 points (a 16 MB matrix)
+# store the matrix, and larger ones keep only their points and row sums.
 _GRAM_CAP_BYTES = 1 << 24
 
 

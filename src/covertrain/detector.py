@@ -182,7 +182,8 @@ def _calibrate(pool: Dataset, c: float | None = None) -> tuple[float, float]:
     Within a class the label coordinates are equal, so the front of the
     buffer holds squared feature distances. The cross-class pairs follow:
     cdist between the classes, plus c*c, which is exactly what cdist adds
-    for the label coordinate of augmented points. sigma is the median of
+    for the label coordinate of augmented points, computed in row blocks of
+    the positive class (`_in_row_blocks`). sigma is the median of
     the entries' square roots, taken on the squares since sqrt is
     monotone, so it has the bits of np.median(pdist(augment(...))). When no
     cross-class entry is below a same-class one, only the block that holds
@@ -197,8 +198,13 @@ def _calibrate(pool: Dataset, c: float | None = None) -> tuple[float, float]:
         raise DetectorError("median heuristic needs at least two points")
     pos, neg = pool.X[pool.y == 1], pool.X[pool.y == -1]
     cross = squares[same:]
-    cdist(pos, neg, "sqeuclidean", out=cross.reshape(pos.shape[0], neg.shape[0]))
-    cross += c * c
+    grid = cross.reshape(pos.shape[0], neg.shape[0])
+
+    def task(lo, hi):
+        cdist(pos[lo:hi], neg, "sqeuclidean", out=grid[lo:hi])
+        grid[lo:hi] += c * c
+
+    _in_row_blocks(task, np.full(pos.shape[0], neg.shape[0]))
     # np.median's own expression on one in-place partition: part[:j].max()
     # is the order statistic just below part[j].
     k = squares.size // 2
@@ -366,7 +372,7 @@ def weighted_mmd(pool_augmented: np.ndarray, b: np.ndarray, cfg: DetectorConfig)
           + (1/s^2) sum_ij b_i b_j k_ij ]^(1/2)
 
     and reduces exactly to mmd(C, C_S) when b is the indicator of S. No n x n
-    matrix is allocated: the row sums take one chunked pass (`_row_sums`) and
+    matrix is allocated: the row sums take one tile pass (`_row_sums`) and
     the last term reads kernel blocks on the support of b (`_weighted`), so
     the value has the bits of `PoolKernel.weighted`.
     """
@@ -385,30 +391,43 @@ def _mmd_root(pool_term: float, cross: float, within: float) -> float:
 
 def _row_sums(Z: np.ndarray, scale: float,
               K: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Row sums of the Gram matrix of Z, each with the bits of
-    K.sum(axis=1), and their total over n^2 (the weight-free first term of
-    the MMD radicand).
+    """Row sums of the Gram matrix of Z, and their total over n^2 (the
+    weight-free first term of the MMD radicand).
 
-    The sums are read from K when it is given. Otherwise each row block
-    (`_in_row_blocks`) computes its rows in chunks (`_kernels`) into one
-    buffer, so all blocks together hold about `_CHUNK_BYTES` of kernel
-    values at once and no n x n matrix is allocated.
+    The pass walks the upper triangle of the matrix in fixed square tiles of
+    about `_CHUNK_BYTES` of kernel values each, so every pair of points is
+    computed once: the matrix is exactly symmetric. Tile (I, J), I <= J,
+    writes the sums of its rows, the part of column block J, to parts[J]
+    at the rows of block I, and off the diagonal the sums of its columns,
+    the part of column block I, to parts[I] at the rows of block J. Each
+    row's parts then add up in tile order. The tiles depend only on n, so
+    the bits do not depend on how `_in_row_blocks` spreads them over
+    workers, and a pool of one tile gets the bits of K.sum(axis=1). Tiles
+    are read from K when it is given and computed (`_kernels`) otherwise,
+    with the same bits; no n x n matrix is allocated.
     """
     n = Z.shape[0]
-    sums = np.empty(n)
+    side = max(1, math.isqrt(_CHUNK_BYTES // 8))
+    blocks = [slice(first, min(first + side, n)) for first in range(0, n, side)]
+    widths = [block.stop - block.start for block in blocks]
+    tiles = [(I, J) for I in range(len(blocks)) for J in range(I, len(blocks))]
+    parts = np.empty((len(blocks), n))
 
     def task(lo, hi):
-        if K is not None:
-            np.sum(K[lo:hi], axis=1, out=sums[lo:hi])
-            return
-        step = max(1, _CHUNK_BYTES * (hi - lo) // (8 * n * n))
-        buf = np.empty((min(step, hi - lo), n))
-        for first in range(lo, hi, step):
-            last = min(first + step, hi)
-            part = _kernels(Z[first:last], Z, scale, out=buf[:last - first])
-            np.sum(part, axis=1, out=sums[first:last])
+        buf = np.empty(min(side, n) ** 2) if K is None else None
+        for I, J in tiles[lo:hi]:
+            rows, cols = blocks[I], blocks[J]
+            if K is None:
+                out = buf[:widths[I] * widths[J]].reshape(widths[I], widths[J])
+                tile = _kernels(Z[rows], Z[cols], scale, out=out)
+            else:
+                tile = K[rows, cols]
+            np.sum(tile, axis=1, out=parts[J, rows])
+            if I != J:
+                np.sum(tile, axis=0, out=parts[I, cols])
 
-    _in_row_blocks(task, np.full(n, n))
+    _in_row_blocks(task, np.array([widths[I] * widths[J] for I, J in tiles]))
+    sums = parts.sum(axis=0)
     return sums, float(sums.sum()) / (n * n)
 
 

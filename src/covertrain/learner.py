@@ -145,8 +145,17 @@ def train(view: WeightedTrainingView, cfg: LearnerConfig) -> ModelParams:
     Starts from zero, backtracks with an Armijo condition, and
     stops when the stationarity residual drops to cfg.tol. Raises
     TrainingError carrying the final residual if max_iter is exhausted.
+
+    Rows of zero weight add nothing to the objective, so the fit runs on
+    the support of b alone: a fractional b of the relaxation costs
+    O(|supp b|) per step, not O(n), and the result has the bits of
+    training on the pool's subset at the support with b restricted to it.
     """
-    X, y, b = view.pool.X, view.pool.y.astype(np.float64), view.weights
+    X, y, b = view.pool.X, view.pool.y, view.weights
+    support = np.flatnonzero(b)
+    if support.size < b.size:
+        X, y, b = X[support], y[support], b[support]
+    y = y.astype(np.float64)
     lam = cfg.lam
     eye = np.eye(X.shape[1])
 

@@ -525,10 +525,13 @@ def rounding_candidates(
     complement is large enough to supply m swaps).
     """
     b = np.asarray(b, dtype=np.float64)
-    seed = list(seed_indices)
-    comp = sorted(set(range(n)) - set(seed))
-    keep_order = sorted(seed, key=lambda i: (-b[i], i))
-    add_order = sorted(comp, key=lambda i: (-b[i], i))
+    seed = np.asarray(seed_indices, dtype=np.int64)
+    outside = np.ones(n, dtype=bool)
+    outside[seed] = False
+    comp = np.flatnonzero(outside)
+    # by b descending, then by pool index: lexsort's last key is its first
+    keep_order = seed[np.lexsort((seed, -b[seed]))].tolist()
+    add_order = comp[np.lexsort((comp, -b[comp]))].tolist()
     swaps = min(m, len(comp))
     return [
         tuple(sorted(keep_order[: m - c] + add_order[:c]))

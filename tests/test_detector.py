@@ -721,6 +721,23 @@ def _textbook_gram(Z1, Z2, sigma):
     return np.exp(-cdist(Z1, Z2, "sqeuclidean") / (2.0 * sigma * sigma))
 
 
+def _tile_row_sums(K, side):
+    """Row sums of a symmetric K added up as `_row_sums` adds them: each
+    row's parts over column blocks of `side` in block order, where a part
+    below the diagonal block is a column sum of the tile above it."""
+    n = K.shape[0]
+    blocks = [slice(start, min(start + side, n)) for start in range(0, n, side)]
+    sums = np.empty(n)
+    for I, rows in enumerate(blocks):
+        parts = [K[rows, cols].sum(axis=1) if I <= J else K[cols, rows].sum(axis=0)
+                 for J, cols in enumerate(blocks)]
+        total = parts[0]
+        for part in parts[1:]:
+            total = total + part
+        sums[rows] = total
+    return sums
+
+
 def _or_error(call, *args):
     """call(*args), or DetectorError when it raises one."""
     try:
@@ -765,7 +782,7 @@ class TestRowBlocks:
                 mock.patch.object(detector, "_WORKERS", workers), \
                 mock.patch.object(detector, "_CHUNK_BYTES", 8 * len(pool)):
             K = gram(Z, Z, sigma)
-            # computed in chunks of one row, and read from K
+            # computed in tiles of isqrt(n) rows, and read from K
             row_sums, pool_term = detector._row_sums(Z, -2.0 * sigma * sigma)
             read_sums, read_term = detector._row_sums(Z, -2.0 * sigma * sigma, K)
             chunked = mmd(Z, sample, cfg)  # one row per chunk
@@ -774,9 +791,11 @@ class TestRowBlocks:
         if len(pool) >= 2:  # n below the worker count included
             assert any(p.blocks for p in pools)
         assert np.array_equal(K, _textbook_gram(Z, Z, sigma))
-        assert np.array_equal(row_sums, K.sum(axis=1))
-        assert np.array_equal(read_sums, K.sum(axis=1))
-        assert pool_term == read_term == float(K.sum(axis=1).sum()) / len(pool) ** 2
+        # one tile for n = 1, several above
+        want = _tile_row_sums(K, math.isqrt(len(pool)))
+        assert np.array_equal(row_sums, want)
+        assert np.array_equal(read_sums, want)
+        assert pool_term == read_term == float(want.sum()) / len(pool) ** 2
         # the chunks' sums add up in another order than one chunk's, so the
         # radicands agree to rounding, which the square root magnifies near 0
         assert abs(chunked ** 2 - one_chunk ** 2) <= 1e-13
@@ -788,6 +807,41 @@ class TestRowBlocks:
         maxima = [pdist(pool.X[pool.y == sign]).max()
                   for sign in (-1, 1) if np.count_nonzero(pool.y == sign) >= 2]
         assert c_blocks == (float(max(maxima)) if maxima else DetectorError)
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 3), _sigmas)
+    def test_row_sums_add_tiles_in_order(self, seed, n, d, sigma):
+        Z = RngState(seed).generator.standard_normal((n, d))
+        K = _textbook_gram(Z, Z, sigma)
+        scale = -2.0 * sigma * sigma
+        for side in sorted({1, 2, 3, 7, n}):
+            want = _tile_row_sums(K, side)
+            for workers in (1, 2, 3):
+                with mock.patch.object(detector, "_WORKERS", workers), \
+                        mock.patch.object(detector, "_TASK_ENTRIES", 1), \
+                        mock.patch.object(detector, "_CHUNK_BYTES", 8 * side * side):
+                    computed, term = detector._row_sums(Z, scale)
+                    read, read_term = detector._row_sums(Z, scale, K)
+                assert np.array_equal(computed, want) and np.array_equal(read, want)
+                assert term == read_term == float(want.sum()) / n ** 2
+            one_shot = K.sum(axis=1)
+            if side >= n:  # one tile
+                assert np.array_equal(want, one_shot)
+            else:
+                assert np.all(np.abs(want - one_shot) <= 1e-13 * one_shot)
+
+    def test_one_tile_keeps_the_one_shot_bits(self):
+        # tiles of 362 x 362 kernel values at the default 1 MB
+        gen = RngState(59).generator
+        for n in (200, 362, 363, 1100):
+            Z = gen.standard_normal((n, 2))
+            K = _textbook_gram(Z, Z, 0.8)
+            sums = detector._row_sums(Z, -2.0 * 0.8 * 0.8)[0]
+            assert np.array_equal(sums, _tile_row_sums(K, 362))
+            if n <= 362:
+                assert np.array_equal(sums, K.sum(axis=1))
+            else:
+                assert np.all(np.abs(sums - K.sum(axis=1)) <= 1e-13 * K.sum(axis=1))
 
     def test_forked_child_runs_blocks(self):
         # The fork comes while another thread is partway through a pass, its
@@ -837,6 +891,7 @@ class TestRowBlocks:
     def test_more_workers_than_cores_under_fast_switching(self):
         Z = RngState(47).generator.standard_normal((64, 3))
         K_want = _textbook_gram(Z, Z, 1.3)
+        sums_want = _tile_row_sums(K_want, 8)  # 8 x 8 tiles of 8 * 64 bytes
         results = []
 
         def run():
@@ -845,7 +900,7 @@ class TestRowBlocks:
                 results.append(
                     np.array_equal(K, K_want)
                     and np.array_equal(detector._row_sums(Z, -2.0 * 1.3 * 1.3)[0],
-                                       K.sum(axis=1))
+                                       sums_want)
                     and mmd(Z, Z, config(sigma=1.3)) == 0.0)
 
         interval = sys.getswitchinterval()

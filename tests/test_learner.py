@@ -134,7 +134,27 @@ class TestTrain:
             theta_w = train(WeightedTrainingView(pool, b), learner_cfg).theta
             sub = pool.subset(idx)
             theta_s = train(ones_view(sub), learner_cfg).theta
-            assert np.linalg.norm(theta_w - theta_s) <= 1e-8
+            assert np.array_equal(theta_w, theta_s)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_fractional_weights_train_on_their_support(self, data):
+        n, d = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 4))
+        X = data.draw(arrays(np.float64, (n, d), elements=st.floats(-5.0, 5.0)))
+        y = data.draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+        b = data.draw(arrays(np.float64, n, elements=st.one_of(
+            st.just(0.0), st.floats(0.0, 1.0), st.floats(1e-300, 1e-298))))
+        # one weight in [0.1, 1] keeps the sum positive; one zero at least
+        anchor, zero = data.draw(st.permutations(range(n)))[:2]
+        b[anchor], b[zero] = data.draw(st.floats(0.1, 1.0)), 0.0
+        pool = make_dataset(X, y)
+        cfg = LearnerConfig(lam=data.draw(st.floats(0.1, 10.0)))
+        view = WeightedTrainingView(pool, b)
+        support = np.flatnonzero(b)
+        theta = train(view, cfg)
+        alone = train(WeightedTrainingView(pool.subset(support), b[support]), cfg)
+        assert np.array_equal(theta.theta, alone.theta)
+        assert stationarity_residual(theta, view, cfg) <= cfg.tol
 
     def test_one_dimensional_fixed_point_bisection_oracle(self, learner_cfg):
         # stationarity for x=1, y=+1, lam=1 reads theta = sigmoid(-theta);

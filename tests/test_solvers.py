@@ -646,6 +646,27 @@ class TestRounding:
                     assert top_m in cands
                     assert len(set(cands)) == len(cands)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_key_sort_definition(self, data):
+        # m up to n, so the complement may hold fewer than m indices
+        n = data.draw(st.integers(1, 30))
+        m = data.draw(st.integers(1, n))
+        seed = tuple(sorted(data.draw(
+            st.sets(st.integers(0, n - 1), min_size=m, max_size=m))))
+        # b on a few levels, where ties are common, or free in [0, 1]
+        levels = data.draw(st.sampled_from(
+            [st.sampled_from([-0.0, 0.0, 0.5, 1.0]), st.floats(0.0, 1.0)]))
+        b = data.draw(arrays(np.float64, n, elements=levels))
+        comp = sorted(set(range(n)) - set(seed))
+        keep = sorted(seed, key=lambda i: (-b[i], i))
+        add = sorted(comp, key=lambda i: (-b[i], i))
+        want = [tuple(sorted(keep[:m - c] + add[:c]))
+                for c in range(min(m, len(comp)) + 1)]
+        got = rounding_candidates(b, seed, n, m)
+        assert got == want
+        assert all(type(i) is int for c in got for i in c)
+
     def test_returned_no_worse_than_seed(self, learner_cfg):
         pool, secret, det = relaxed_instance(seed=221)
         seed_set = sample_subset(pool, 5, RngState(93))

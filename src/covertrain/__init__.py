@@ -19,8 +19,6 @@ from .detector import (
     augment,
     detect,
     gram,
-    label_scale,
-    median_heuristic_sigma,
     mmd,
     mmd_threshold,
     psi,

@@ -140,12 +140,25 @@ def gram(Z1: np.ndarray, Z2: np.ndarray, sigma: float) -> np.ndarray:
     return K
 
 
-def _class_squares(pool: Dataset) -> tuple[np.ndarray, int, float | None]:
-    """A buffer for the squared distances of all n(n-1)/2 pairs of pool
-    points, holding so far each class's pairs (pdist, sqeuclidean) at its
-    front, class -1's first; their count; and their maximum, the square of
-    the label scale (None when no class has two members)."""
-    from scipy.spatial.distance import pdist
+def _calibrate(pool: Dataset) -> tuple[float, float]:
+    """The label scale c and the median-heuristic sigma of a pool, from one
+    buffer of the squared distances of all n(n-1)/2 pairs of augmented
+    points.
+
+    Each class's pairs (pdist, sqeuclidean) fill the front of the buffer,
+    class -1's first. Within a class the label coordinates are equal, so
+    these are squared feature distances, and their maximum is c squared
+    (at least one class must have two members). The cross-class pairs
+    follow: cdist between the classes, plus c*c, which is exactly what
+    cdist adds for the label coordinate of augmented points, computed in
+    row blocks of the positive class (`_in_row_blocks`). sigma is the
+    median of the entries' square roots, taken on the squares since sqrt is
+    monotone, so it has the bits of np.median(pdist(augment(...))). When no
+    cross-class entry is below a same-class one, only the block that holds
+    the median index is partitioned. A pool whose median distance is zero
+    (every distance zero included) has no bandwidth and raises.
+    """
+    from scipy.spatial.distance import cdist, pdist
 
     n = len(pool)
     squares = np.empty(n * (n - 1) // 2)
@@ -155,47 +168,10 @@ def _class_squares(pool: Dataset) -> tuple[np.ndarray, int, float | None]:
         pairs = pts.shape[0] * (pts.shape[0] - 1) // 2
         pdist(pts, "sqeuclidean", out=squares[same:same + pairs])
         same += pairs
-    return squares, same, float(squares[:same].max()) if same else None
-
-
-def _root(top: float | None) -> float:
-    """The label scale from the largest same-class squared distance."""
-    if top is None:
+    if not same:
         raise DetectorError("no class has two members; label scale undefined")
-    return math.sqrt(top)
-
-
-def label_scale(pool: Dataset) -> float:
-    """Largest intra-class pairwise feature distance over the pool.
-
-    This is the scale c of the label coordinate. At least one class must
-    have two members.
-    """
-    return _root(_class_squares(pool)[2])
-
-
-def _calibrate(pool: Dataset, c: float | None = None) -> tuple[float, float]:
-    """The label scale c (unless given) and the median-heuristic sigma of a
-    pool, from one buffer of the squared distances of all n(n-1)/2 pairs of
-    augmented points (`_class_squares`).
-
-    Within a class the label coordinates are equal, so the front of the
-    buffer holds squared feature distances. The cross-class pairs follow:
-    cdist between the classes, plus c*c, which is exactly what cdist adds
-    for the label coordinate of augmented points, computed in row blocks of
-    the positive class (`_in_row_blocks`). sigma is the median of
-    the entries' square roots, taken on the squares since sqrt is
-    monotone, so it has the bits of np.median(pdist(augment(...))). When no
-    cross-class entry is below a same-class one, only the block that holds
-    the median index is partitioned.
-    """
-    from scipy.spatial.distance import cdist
-
-    squares, same, top = _class_squares(pool)
-    if c is None:
-        c = _root(top)
-    if squares.size == 0:
-        raise DetectorError("median heuristic needs at least two points")
+    top = float(squares[:same].max())
+    c = math.sqrt(top)
     pos, neg = pool.X[pool.y == 1], pool.X[pool.y == -1]
     cross = squares[same:]
     grid = cross.reshape(pos.shape[0], neg.shape[0])
@@ -209,27 +185,20 @@ def _calibrate(pool: Dataset, c: float | None = None) -> tuple[float, float]:
     # is the order statistic just below part[j].
     k = squares.size // 2
     part, j = squares, k
-    if top is not None and cross.size and cross.min() >= top:
+    if cross.size and cross.min() >= top:
         part, j = (squares[:same], k) if k < same else (cross, k - same)
     part.partition(j)
     upper = float(part[j])
-    if upper == 0.0 and squares.max() == 0.0:
-        raise DetectorError("degenerate pool: all pairwise distances are zero")
+    # The median is zero exactly when its upper order statistic is.
+    if upper == 0.0:
+        raise DetectorError(
+            f"degenerate pool (n={n}): the median distance between its "
+            "augmented points is zero, so the median heuristic gives no bandwidth"
+        )
     if squares.size % 2:
         return c, math.sqrt(upper)
     lower = float(part[:j].max()) if j else top  # j = 0: below the cross block
     return c, float(np.mean([math.sqrt(lower), math.sqrt(upper)]))
-
-
-def median_heuristic_sigma(pool: Dataset, c: float) -> float:
-    """Median pairwise distance between augmented pool points.
-
-    All n(n-1)/2 pairs enter, zero distances from duplicates included; an
-    even pair count takes the mean of the two central order statistics
-    (plain median, bit-identical to np.median). Errors out when every
-    pairwise distance is zero.
-    """
-    return _calibrate(pool, c)[1]
 
 
 @dataclass(frozen=True)

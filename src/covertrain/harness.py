@@ -33,6 +33,7 @@ from .learner import (
     WeightedTrainingView,
     empirical_risk,
     predict_error,
+    subset_weights,
     train,
     train_batch,
 )
@@ -355,8 +356,8 @@ def run_experiment(
 
         stage = "evaluate"
         t0 = time.monotonic()
-        chosen = pool.subset(report.best.indices)
-        theta = train(WeightedTrainingView(chosen, np.ones(len(chosen))), cfg.learner)
+        chosen = subset_weights(len(pool), report.best.indices)
+        theta = train(WeightedTrainingView(pool, chosen), cfg.learner)
         solver_error = predict_error(theta, secret_test)
         secret_risk = empirical_risk(theta, secret_train)
         rand_mean, rand_std = random_baseline(

@@ -86,6 +86,15 @@ class WeightedTrainingView:
         object.__setattr__(self, "weights", b)
 
 
+def subset_weights(n: int, indices) -> np.ndarray:
+    """The 0/1 weights on a pool of n instances that select `indices`. On
+    them `train` fits the subset alone, with the bits of training on a copy
+    of its rows (`Dataset.subset`), so no subset needs copying."""
+    b = np.zeros(n)
+    b[np.asarray(indices, dtype=np.int64)] = 1.0
+    return b
+
+
 def _margins(theta_vec: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y * (X @ theta_vec)
 

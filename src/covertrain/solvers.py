@@ -10,11 +10,13 @@ accounting in one _Scorer, which makes every detector check and counts
 every rejection; solve_nlp runs the relaxation and then the rounding sweep
 on it, reserving one training per rounding candidate so the sweep always
 fits the budget. Uniform search and the rounding sweep know their subsets
-before any risk, so they train them in batches (train_batch); beam search
-trains one subset at a time. When the wall-clock limit passes, uniform and
-beam search stop. Every run reports the best subset it scored; a run that
-scored none raises SolverError (_finalize), naming the deadline if it has
-passed and the number of draws otherwise.
+before any risk, so they train them in batches (train_batch). Beam search
+trains one subset at a time and the relaxation one weight vector at a
+time, both through `train` on a WeightedTrainingView of the pool, whose
+0/1 weights select a subset without copying it. When the wall-clock limit
+passes, uniform and beam search stop. Every run reports the best subset
+it scored; a run that scored none raises SolverError (_finalize), naming
+the deadline if it has passed and the number of draws otherwise.
 
 Strict detector feasibility psi < 0 is implemented as psi <= -1e-9
 (FEASIBILITY_SLACK) for numerical stability.
@@ -39,6 +41,7 @@ from .learner import (
     empirical_risk,
     risk_gradient_wrt_weights,
     stationarity_residual,
+    subset_weights,
     train,
     train_batch,
 )
@@ -153,8 +156,10 @@ NlpOptions = SolverBudget  # solve_nlp reads only the two limits
 class _Scorer:
     """One solver run: its instance (the pool's kernel is built from `det`
     when none is given) and its accounting. Trains the learner on pool
-    m-subsets, one at a time (`risk`) or in batches (`risk_many`), and
-    scores secret-set risk, charging one training each; audits
+    m-subsets, one at a time as 0/1 weights on the pool (`risk`, which
+    shares `risk_weighted` with the relaxation) or gathered in batches
+    (`risk_many`), and scores secret-set risk, charging one training each
+    once it has succeeded; audits
     subsets against the detector, counting rejections; counts random draws;
     holds the deadline. Keeps the lowest-risk subset scored so far and the
     trajectory of (trainings, best risk) at each improvement."""
@@ -215,16 +220,14 @@ class _Scorer:
         return kept
 
     def _record(self, indices: tuple[int, ...], risk: float) -> None:
-        self.trainings += 1
+        """Keep `indices` if its risk, just charged, is the lowest yet."""
         if risk < self.best_risk:
             self.best_idx = indices
             self.best_risk = risk
             self.trajectory.append((self.trainings, risk))
 
     def risk(self, indices: tuple[int, ...]) -> float:
-        sub = self.pool.subset(indices, role="training_set")
-        view = WeightedTrainingView(sub, np.ones(len(sub)))
-        risk = empirical_risk(train(view, self.cfg), self.secret)
+        risk = self.risk_weighted(subset_weights(len(self.pool), indices))[0]
         self._record(indices, risk)
         return risk
 
@@ -240,11 +243,13 @@ class _Scorer:
             margins = self.secret.y * (thetas @ self.secret.X.T)
             risks = np.mean(np.logaddexp(0.0, -margins), axis=1)
             for indices, risk in zip(chunk, risks):
+                self.trainings += 1
                 self._record(indices, float(risk))
 
     def risk_weighted(self, b: np.ndarray) -> tuple[float, ModelParams]:
-        view = WeightedTrainingView(self.pool, b)
-        theta = train(view, self.cfg)
+        """Train on the pool weighted by b, charging the training once it
+        has succeeded, and score the model's secret-set risk."""
+        theta = train(WeightedTrainingView(self.pool, b), self.cfg)
         self.trainings += 1
         return empirical_risk(theta, self.secret), theta
 
@@ -461,8 +466,7 @@ def solve_relaxed(
     if not scorer.feasible(seed_set.indices):
         raise SolverError("seed set fails the detector")
 
-    b = np.zeros(len(pool))
-    b[list(seed_set.indices)] = 1.0
+    b = subset_weights(len(pool), seed_set.indices)
 
     risk, theta = scorer.risk_weighted(b)
     psi_b = kernel.weighted(b) - threshold

@@ -32,8 +32,6 @@ from covertrain import (
     augment,
     detect,
     gram,
-    label_scale,
-    median_heuristic_sigma,
     mmd,
     mmd_threshold,
     psi,
@@ -96,53 +94,89 @@ class TestRbfKernel:
             gram(Z, Z, sigma)
 
 
+def calibration(pool):
+    """(c, sigma) of DetectorConfig.from_pool(pool)."""
+    cfg = DetectorConfig.from_pool(pool)
+    return cfg.label_scale_c, cfg.sigma
+
+
 class TestCalibrationConstants:
+    """(c, sigma) from `from_pool` against hand-computed values: c is the
+    largest same-class distance, sigma the median distance between the
+    augmented points [x, c * 1{y = +1}]."""
+
     def test_median_collinear_oracle(self):
-        # points 0, 1, 3 on a line with c=0: pairwise distances {1, 2, 3}
+        # points 0, 1, 3 with c = 1 (the +1 pair): augmented points (0, 1),
+        # (1, 1), (3, 0) at squared distances {1, 10, 5}; odd count
         ds = make_dataset([[0.0], [1.0], [3.0]], [1, 1, -1])
-        assert median_heuristic_sigma(ds, 0.0) == 2.0
+        assert calibration(ds) == (1.0, math.sqrt(5.0))
 
     def test_median_two_points(self):
-        ds = make_dataset([[0.0], [5.0]], [1, -1])
-        assert median_heuristic_sigma(ds, 0.0) == 5.0
+        # one pair: c and sigma are both its distance
+        ds = make_dataset([[0.0], [5.0]], [1, 1])
+        assert calibration(ds) == (5.0, 5.0)
 
     def test_median_includes_duplicate_zeros(self):
-        # each point twice: half of all pairwise distances are zero
+        # each point twice, one class each, so c = 0: distances
+        # {0, 0, 4, 4, 4, 4}, an even count whose central pair is 4 and 4
         ds = make_dataset([[0.0], [0.0], [4.0], [4.0]], [1, 1, -1, -1])
-        # distances: 0, 4, 4, 4, 4, 0 -> median 4... sorted {0,0,4,4,4,4}
-        assert median_heuristic_sigma(ds, 0.0) == 4.0
+        assert calibration(ds) == (0.0, 4.0)
+
+    def test_median_of_an_even_count_averages_the_central_pair(self):
+        # c = 0 and distances {0, 0, 0, 3, 3, 3}: the mean of 0 and 3
+        ds = make_dataset([[2.0], [2.0], [2.0], [5.0]], [1, 1, 1, -1])
+        assert calibration(ds) == (0.0, 1.5)
 
     def test_median_degenerate_pool(self):
         ds = make_dataset([[1.0], [1.0], [1.0]], [1, 1, 1])
-        with pytest.raises(DetectorError, match="degenerate"):
-            median_heuristic_sigma(ds, 0.0)
+        with pytest.raises(DetectorError, match=r"degenerate pool \(n=3\)"):
+            DetectorConfig.from_pool(ds)
+
+    def test_zero_median_is_a_degenerate_pool(self):
+        # six copies of one point in class +1 and two of another in class -1:
+        # c = 0, and 16 of the 28 distances are zero, so the median is zero
+        # although the 12 cross-class distances are not
+        ds = make_dataset([[0.0, 0.0]] * 6 + [[1.0, 1.0]] * 2, [1] * 6 + [-1] * 2)
+        dists = pdist(augment(ds.X, ds.y, 0.0))
+        assert np.median(dists) == 0.0 and dists.max() > 0.0
+        with pytest.raises(DetectorError, match=r"degenerate pool \(n=8\)"):
+            DetectorConfig.from_pool(ds)
 
     def test_median_uses_augmented_points(self):
-        # same features, different labels: augmentation separates them
-        ds = make_dataset([[0.0], [0.0]], [1, -1])
-        assert median_heuristic_sigma(ds, 3.0) == 3.0
+        # c = 4; the label coordinate moves the median from 2 (the features'
+        # distances {4, 0, 0, 0, 4, 4}) to 4 (squares {16, 0, 16, 16, 32, 32})
+        ds = make_dataset([[0.0], [4.0], [0.0], [0.0]], [1, 1, -1, -1])
+        assert np.median(pdist(ds.X)) == 2.0
+        assert calibration(ds) == (4.0, 4.0)
 
     def test_label_scale_single_class_oracle(self):
-        ds = make_dataset([[0.0], [3.0]], [1, 1])
-        assert label_scale(ds) == 3.0
+        # distances {3, 1, 2}
+        ds = make_dataset([[0.0], [3.0], [1.0]], [1, 1, 1])
+        assert calibration(ds) == (3.0, 2.0)
 
     def test_label_scale_identical_points(self):
-        ds = make_dataset([[2.0], [2.0], [2.0]], [1, 1, 1])
-        assert label_scale(ds) == 0.0
+        # the class with two members has them at one point: c = 0
+        ds = make_dataset([[2.0], [2.0], [5.0]], [1, 1, -1])
+        assert calibration(ds) == (0.0, 3.0)
 
     def test_label_scale_max_over_classes(self):
+        # class distances 2 and 5, so c = 5; squared distances
+        # {4, 25, 125, 250, 89, 194}, whose central pair is 89 and 125
         ds = make_dataset([[0.0], [2.0], [10.0], [15.0]], [1, 1, -1, -1])
-        assert label_scale(ds) == 5.0
+        c, sigma = calibration(ds)
+        assert c == 5.0
+        assert sigma == float(np.mean([math.sqrt(89.0), math.sqrt(125.0)]))
+        assert sigma == float(np.median(pdist(augment(ds.X, ds.y, 5.0))))
 
     def test_label_scale_needs_a_pair(self):
         ds = make_dataset([[0.0], [1.0]], [1, -1])
-        with pytest.raises(DetectorError):
-            label_scale(ds)
+        with pytest.raises(DetectorError, match="no class has two members"):
+            DetectorConfig.from_pool(ds)
 
     def test_constant_features_are_a_degenerate_pool(self):
         # both classes at one point: c = 0, so every augmented distance is 0
         ds = make_dataset(np.full((6, 2), 0.5), [1, 1, 1, -1, -1, -1])
-        assert label_scale(ds) == 0.0
+        assert not pdist(augment(ds.X, ds.y, 0.0)).any()
         with pytest.raises(DetectorError, match="degenerate pool"):
             DetectorConfig.from_pool(ds)
 
@@ -541,17 +575,34 @@ def _calibration_pools(draw):
 
 def _textbook_calibration(pool):
     """(c, sigma) from max(pdist(class)) and np.median(pdist(augment(...))),
-    or the message of the DetectorError that from_pool must raise."""
+    or the start of the message of the DetectorError that from_pool must
+    raise: a zero median, all distances zero included, is a degenerate
+    pool."""
     maxima = [pdist(pool.X[pool.y == sign]).max()
               for sign in (-1, 1) if np.count_nonzero(pool.y == sign) >= 2]
     if not maxima:
         return "no class has two members"
     c = float(max(maxima))
-    dists = pdist(augment(pool.X, pool.y, c))
-    if dists.max() == 0.0:
-        return "degenerate pool"
-    sigma = float(np.median(dists))
-    return (c, sigma) if sigma > 0.0 else "sigma must be positive"
+    sigma = float(np.median(pdist(augment(pool.X, pool.y, c))))
+    return (c, sigma) if sigma > 0.0 else f"degenerate pool (n={len(pool)})"
+
+
+def _calibration_or_message(pool):
+    """(c, sigma) of DetectorConfig.from_pool(pool), or the message of the
+    DetectorError it raises."""
+    try:
+        return calibration(pool)
+    except DetectorError as exc:
+        return str(exc)
+
+
+def _assert_textbook_calibration(got, pool):
+    """`got`, from _calibration_or_message, is the textbook outcome."""
+    want = _textbook_calibration(pool)
+    if isinstance(want, str):
+        assert isinstance(got, str) and got.startswith(want), (got, want)
+    else:
+        assert got == want
 
 
 class TestProperties:
@@ -594,19 +645,14 @@ class TestProperties:
             assert np.all(np.abs(grad - want) <= 1e-12 * scale)
 
     @settings(deadline=None)
-    @given(st.data(), st.integers(2, 12), st.booleans(), st.floats(0.0, 5.0))
-    def test_median_sigma_equals_numpy_median(self, data, n, duplicates, c):
+    @given(st.data(), st.integers(2, 12), st.booleans())
+    def test_median_sigma_equals_numpy_median(self, data, n, duplicates):
         # n(n-1)/2 pairs is odd for n = 2, 3, 6, 7, 10, 11 and even otherwise
         coords = st.sampled_from([-1.0, 0.0, 2.5]) if duplicates else _coords
         X = data.draw(arrays(np.float64, (n, 2), elements=coords))
         y = data.draw(arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
         ds = make_dataset(X, y)
-        dists = pdist(augment(ds.X, ds.y, c))
-        if dists.max() == 0.0:
-            with pytest.raises(DetectorError, match="degenerate pool"):
-                median_heuristic_sigma(ds, c)
-        else:
-            assert median_heuristic_sigma(ds, c) == float(np.median(dists))
+        _assert_textbook_calibration(_calibration_or_message(ds), ds)
 
     @settings(deadline=None)
     @given(st.data(), st.integers(1, 3), _sigmas)
@@ -669,13 +715,7 @@ class TestProperties:
     @settings(deadline=None)
     @given(_calibration_pools())
     def test_calibration_equals_textbook(self, pool):
-        want = _textbook_calibration(pool)
-        if isinstance(want, str):
-            with pytest.raises(DetectorError, match=want):
-                DetectorConfig.from_pool(pool)
-        else:
-            cfg = DetectorConfig.from_pool(pool)
-            assert (cfg.label_scale_c, cfg.sigma) == want
+        _assert_textbook_calibration(_calibration_or_message(pool), pool)
 
     @settings(deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 60),
@@ -738,14 +778,6 @@ def _tile_row_sums(K, side):
     return sums
 
 
-def _or_error(call, *args):
-    """call(*args), or DetectorError when it raises one."""
-    try:
-        return call(*args)
-    except DetectorError:
-        return DetectorError
-
-
 def _recording_pools():
     """A patch of the detector's ThreadPoolExecutor with a subclass that
     records the pools opened while it is active, and the list they go in;
@@ -786,8 +818,7 @@ class TestRowBlocks:
             row_sums, pool_term = detector._row_sums(Z, -2.0 * sigma * sigma)
             read_sums, read_term = detector._row_sums(Z, -2.0 * sigma * sigma, K)
             chunked = mmd(Z, sample, cfg)  # one row per chunk
-            sigma_blocks = _or_error(median_heuristic_sigma, pool, c)
-            c_blocks = _or_error(label_scale, pool)
+            calibrated = _calibration_or_message(pool)
         if len(pool) >= 2:  # n below the worker count included
             assert any(p.blocks for p in pools)
         assert np.array_equal(K, _textbook_gram(Z, Z, sigma))
@@ -799,14 +830,7 @@ class TestRowBlocks:
         # the chunks' sums add up in another order than one chunk's, so the
         # radicands agree to rounding, which the square root magnifies near 0
         assert abs(chunked ** 2 - one_chunk ** 2) <= 1e-13
-        one_shot = pdist(Z)
-        if one_shot.size and one_shot.max() > 0.0:
-            assert sigma_blocks == float(np.median(one_shot))
-        else:
-            assert sigma_blocks is DetectorError
-        maxima = [pdist(pool.X[pool.y == sign]).max()
-                  for sign in (-1, 1) if np.count_nonzero(pool.y == sign) >= 2]
-        assert c_blocks == (float(max(maxima)) if maxima else DetectorError)
+        _assert_textbook_calibration(calibrated, pool)
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 3), _sigmas)

@@ -36,7 +36,7 @@ from covertrain import (
 )
 from covertrain.synth import SyntheticSpec, generate
 
-from conftest import gaussian_task
+from conftest import gaussian_task, make_dataset
 
 
 class TestSelectCoverTask:
@@ -382,6 +382,22 @@ class TestRunExperiment:
         assert err.value.stage == "select_cover"
         assert isinstance(err.value.cause, DetectorError)
         assert "degenerate pool" in str(err.value.cause)
+        manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "select_cover"
+
+    def test_zero_median_pool_fails_at_select_cover(self, tmp_path):
+        # six copies of one point in class +1 and two of another in class -1:
+        # most augmented distances are zero, so the median heuristic's
+        # bandwidth is zero although some distances are not
+        paths = write_task_files(tmp_path)
+        X = [[0.0, 0.0]] * 6 + [[1.0, 1.0]] * 2
+        save_dataset(make_dataset(X, [1] * 6 + [-1] * 2), paths["cover"])
+        cfg = base_config(tmp_path, paths)
+        with pytest.raises(StageError) as err:
+            run_experiment(cfg)
+        assert err.value.stage == "select_cover"
+        assert isinstance(err.value.cause, DetectorError)
+        assert "degenerate pool (n=8)" in str(err.value.cause)
         manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
         assert manifest["failed_stage"] == "select_cover"
 

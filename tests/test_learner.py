@@ -124,17 +124,27 @@ class TestTrain:
         assert abs(theta @ perp) <= 1e-8
         assert theta @ x > 0
 
-    def test_binary_weights_equal_subset_training(self, learner_cfg):
-        pool = gaussian_task(11, 10)
-        gen = RngState(3).generator
-        for _ in range(5):
-            idx = np.sort(gen.choice(len(pool), size=6, replace=False))
-            b = np.zeros(len(pool))
-            b[idx] = 1.0
-            theta_w = train(WeightedTrainingView(pool, b), learner_cfg).theta
-            sub = pool.subset(idx)
-            theta_s = train(ones_view(sub), learner_cfg).theta
-            assert np.array_equal(theta_w, theta_s)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_binary_weights_equal_subset_training(self, data):
+        # Solvers and the evaluate stage train a subset as 0/1 weights on
+        # its pool; the model must have the bits of training on a copy.
+        n, d = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 20))
+        coords = data.draw(st.sampled_from([
+            st.floats(-5.0, 5.0),
+            st.sampled_from([-1.0, 0.0, 2.5]),  # duplicate-heavy pools
+        ]))
+        X = data.draw(arrays(np.float64, (n, d), elements=coords))
+        labels = data.draw(st.sampled_from([[-1, 1], [1], [-1]]))
+        y = data.draw(arrays(np.int64, n, elements=st.sampled_from(labels)))
+        pool = make_dataset(X, y)
+        idx = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        b = np.zeros(n)
+        b[idx] = 1.0
+        cfg = LearnerConfig()
+        theta_w = train(WeightedTrainingView(pool, b), cfg).theta
+        theta_s = train(ones_view(pool.subset(idx)), cfg).theta
+        assert np.array_equal(theta_w, theta_s)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())

@@ -15,6 +15,11 @@ hold exactly. The decision threshold for a level-alpha test is
 
 where K bounds the kernel values (K = 1 for the RBF kernel). A sample is
 flagged suspicious when psi = MMD - T >= 0.
+
+Every sum of kernel values over a rectangle of points, whether in verify's
+`mmd`, a `PoolKernel`'s row sums or `weighted_mmd`'s, comes from one pass in
+fixed square tiles (`_row_sums`), so its bits do not depend on the number
+of workers and no n x m matrix is allocated.
 """
 
 from __future__ import annotations
@@ -244,62 +249,29 @@ class DetectionVerdict:
         return asdict(self)
 
 
-# Bytes of kernel values one chunk of `mmd`'s sums holds at once, about.
+# Bytes of kernel values one tile of `_row_sums` or one chunk of
+# `_support_rows` holds at once, about.
 _CHUNK_BYTES = 1 << 20
-
-
-def _kernel_sums(A: np.ndarray, B: np.ndarray, sigma: float) -> tuple[float, float]:
-    """The sums of k(a_i, b_j) over i < j and of k(a_i, b_i) over i.
-
-    Rows of A go in fixed chunks of about `_CHUNK_BYTES` of kernel values;
-    each chunk takes its part of both sums, and the parts add up in chunk
-    order. The chunks depend only on the shapes, so the bits do not depend
-    on how `_in_row_blocks` spreads the chunks over workers, and no
-    len(A) x len(B) matrix is allocated.
-    """
-    rows, cols = min(A.shape[0], B.shape[0]), B.shape[0]
-    step = max(1, _CHUNK_BYTES // (8 * cols))
-    starts = np.arange(0, rows, step)
-    upper = np.empty(starts.size)
-    diag = np.empty(starts.size)
-    scale = -2.0 * sigma * sigma
-
-    def task(lo, hi):
-        for chunk in range(lo, hi):
-            first = starts[chunk]
-            k = min(step, rows - first)
-            E = _kernels(A[first:first + k], B[first:], scale)
-            diag[chunk] = np.trace(E[:, :k])
-            upper[chunk] = np.triu(E[:, :k], 1).sum() + E[:, k:].sum()
-
-    _in_row_blocks(task, np.minimum(step, rows - starts) * (cols - starts))
-    return float(upper.sum()), float(diag.sum())
 
 
 def mmd(Z: np.ndarray, Zp: np.ndarray, cfg: DetectorConfig) -> float:
     """Biased empirical MMD between two augmented samples.
 
-    Each kernel sum sum_ij k(a_i, b_j) is taken as its part above the
-    diagonal, its part below (the part above, of (B, A)) and the diagonal
-    (`_kernel_sums`). A sample's own sum computes the part above once and
-    doubles it. So when Z and Zp are equal all three sums have equal bits,
-    and MMD(Z, Z) = 0 holds exactly. The radicand is clamped at zero before
-    the square root to absorb negative floating-point residue of order
-    -1e-17.
+    Each of the three kernel sums is the total of one tile pass
+    (`_row_sums`): of Z with itself, of Z with Zp and of Zp with itself.
+    The cross pass computes the tiles of Z against Zp with the same
+    floating-point operations as a sample's own pass, so when Z and Zp are
+    equal all three sums have equal bits, and MMD(Z, Z) = 0 holds exactly.
+    The radicand is clamped at zero before the square root to absorb
+    negative floating-point residue of order -1e-17.
     """
     Z = np.atleast_2d(Z)
     Zp = np.atleast_2d(Zp)
-    n, m = Z.shape[0], Zp.shape[0]
-    if n < 1 or m < 1:
+    if Z.shape[0] < 1 or Zp.shape[0] < 1:
         raise DetectorError("mmd needs at least one point per sample")
-    above_nn, diag_nn = _kernel_sums(Z, Z, cfg.sigma)
-    above_nm, diag_nm = _kernel_sums(Z, Zp, cfg.sigma)
-    below_nm, _ = _kernel_sums(Zp, Z, cfg.sigma)
-    above_mm, diag_mm = _kernel_sums(Zp, Zp, cfg.sigma)
-    term_nn = (above_nn + above_nn + diag_nn) / (n * n)
-    term_nm = (above_nm + below_nm + diag_nm) / (n * m)
-    term_mm = (above_mm + above_mm + diag_mm) / (m * m)
-    return _mmd_root(term_nn, term_nm, term_mm)
+    scale = -2.0 * cfg.sigma * cfg.sigma
+    return _mmd_root(_row_sums(Z, scale)[1], _row_sums(Z, scale, Zp=Zp)[1],
+                     _row_sums(Zp, scale)[1])
 
 
 def mmd_threshold(n: int, m: int, cfg: DetectorConfig) -> float:
@@ -358,46 +330,65 @@ def _mmd_root(pool_term: float, cross: float, within: float) -> float:
     return math.sqrt(max(pool_term - 2.0 * cross + within, 0.0))
 
 
-def _row_sums(Z: np.ndarray, scale: float,
-              K: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Row sums of the Gram matrix of Z, and their total over n^2 (the
-    weight-free first term of the MMD radicand).
+def _row_sums(Z: np.ndarray, scale: float, K: np.ndarray | None = None,
+              Zp: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Row sums of the kernel matrix k(Z, Zp), Zp = Z when not given, and
+    their total over n m (for Zp = Z, the weight-free first term of the MMD
+    radicand).
 
-    The pass walks the upper triangle of the matrix in fixed square tiles of
-    about `_CHUNK_BYTES` of kernel values each, so every pair of points is
-    computed once: the matrix is exactly symmetric. Tile (I, J), I <= J,
-    writes the sums of its rows, the part of column block J, to parts[J]
-    at the rows of block I, and off the diagonal the sums of its columns,
-    the part of column block I, to parts[I] at the rows of block J. Each
-    row's parts then add up in tile order. The tiles depend only on n, so
-    the bits do not depend on how `_in_row_blocks` spreads them over
-    workers, and a pool of one tile gets the bits of K.sum(axis=1). Tiles
-    are read from K when it is given and computed (`_kernels`) otherwise,
-    with the same bits; no n x n matrix is allocated.
+    The pass cuts both samples into blocks of the same fixed side, about
+    `_CHUNK_BYTES` of kernel values a square tile, and walks the tiles
+    (I, J) with I <= J. Tile (I, J) writes the sums of the rows of
+    k(Z_I, Zp_J), the part of column block J, to parts[J] at the Z rows of
+    block I, and off the diagonal the sums of the columns of k(Zp_I, Z_J),
+    the part of column block I, to parts[I] at the Z rows of block J. When
+    Zp is Z (or not given) the second tile is the first, so every pair of
+    points is computed once and the matrix is exactly symmetric. cdist's
+    squared distances are elementwise symmetric, so a Zp equal to Z by
+    value runs the same floating-point operations and gets the same bits.
+    Each row's parts add up in tile order; a part whose block is empty
+    stays zero. The tiles depend only on the shapes, so the bits do not
+    depend on how `_in_row_blocks` spreads them over workers, and one tile
+    gets the bits of k(Z, Zp).sum(axis=1). Tiles are read from the Gram
+    matrix K of Z when it is given (for Zp = Z) and computed (`_kernels`)
+    otherwise, with the same bits; no n x m matrix is allocated.
     """
-    n = Z.shape[0]
+    Zp = Z if Zp is None else Zp
+    symmetric = Zp is Z
+    n, m = Z.shape[0], Zp.shape[0]
     side = max(1, math.isqrt(_CHUNK_BYTES // 8))
-    blocks = [slice(first, min(first + side, n)) for first in range(0, n, side)]
-    widths = [block.stop - block.start for block in blocks]
+    starts = range(0, max(n, m), side)
+    blocks = [slice(first, first + side) for first in starts]
+    rows = [max(0, min(side, n - first)) for first in starts]
+    cols = [max(0, min(side, m - first)) for first in starts]
     tiles = [(I, J) for I in range(len(blocks)) for J in range(I, len(blocks))]
-    parts = np.empty((len(blocks), n))
+    parts = np.zeros((len(blocks), n))
 
     def task(lo, hi):
-        buf = np.empty(min(side, n) ** 2) if K is None else None
-        for I, J in tiles[lo:hi]:
-            rows, cols = blocks[I], blocks[J]
-            if K is None:
-                out = buf[:widths[I] * widths[J]].reshape(widths[I], widths[J])
-                tile = _kernels(Z[rows], Z[cols], scale, out=out)
-            else:
-                tile = K[rows, cols]
-            np.sum(tile, axis=1, out=parts[J, rows])
-            if I != J:
-                np.sum(tile, axis=0, out=parts[I, cols])
+        buf = np.empty(min(side, max(n, m)) ** 2) if K is None else None
 
-    _in_row_blocks(task, np.array([widths[I] * widths[J] for I, J in tiles]))
+        def tile(A, B, I, J):
+            """k(A_I, B_J), read from K or computed into the task's buffer."""
+            if K is not None:
+                return K[blocks[I], blocks[J]]
+            a, b = A[blocks[I]], B[blocks[J]]
+            out = buf[:a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
+            return _kernels(a, b, scale, out=out)
+
+        for I, J in tiles[lo:hi]:
+            if rows[I] and cols[J]:
+                values = tile(Z, Zp, I, J)
+                np.sum(values, axis=1, out=parts[J, blocks[I]])
+            if I != J and cols[I] and rows[J]:
+                if not symmetric:
+                    values = tile(Zp, Z, I, J)
+                np.sum(values, axis=0, out=parts[I, blocks[J]])
+
+    cost = [rows[I] * cols[J] + (I != J and not symmetric) * cols[I] * rows[J]
+            for I, J in tiles]
+    _in_row_blocks(task, np.array(cost))
     sums = parts.sum(axis=0)
-    return sums, float(sums.sum()) / (n * n)
+    return sums, float(sums.sum()) / (n * m)
 
 
 def _computed_block(Z: np.ndarray, scale: float, rows: np.ndarray,
@@ -516,9 +507,10 @@ class PoolKernel:
     def psi_indices(self, indices) -> float:
         return self.mmd_indices(indices) - self.threshold(len(indices))
 
-    def feasible(self, indices, slack: float = FEASIBILITY_SLACK) -> bool:
-        """Strict inequality psi < 0, implemented as psi <= -slack."""
-        return self.psi_indices(indices) <= -slack
+    def feasible(self, indices) -> bool:
+        """Strict inequality psi < 0, implemented as
+        psi <= -FEASIBILITY_SLACK."""
+        return self.psi_indices(indices) <= -FEASIBILITY_SLACK
 
     def weighted(self, b: np.ndarray) -> float:
         return _weighted(_check_weights(b, self.n), self._row_sums,

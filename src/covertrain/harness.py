@@ -35,16 +35,15 @@ from .learner import (
     predict_error,
     subset_weights,
     train,
-    train_batch,
 )
 from .solvers import (
-    BATCH_VALUES,
     SolverBudget,
     SolverError,
     SolverReport,
     solve_beam,
     solve_nlp,
     solve_uniform,
+    train_subsets,
 )
 
 SOLVERS = ("uniform", "beam", "nlp")
@@ -230,13 +229,10 @@ def random_baseline(
     over trials; std is the population form, zero for a single trial."""
     if trials < 1:
         raise DataError("need at least one trial")
-    rows = max(1, BATCH_VALUES // (m * pool.dimension))
-    errors = []
-    for start in range(0, trials, rows):
-        idx = np.array([sample_subset(pool, m, rng).indices
-                        for _ in range(min(rows, trials - start))], dtype=np.int64)
-        for theta in train_batch(pool.X[idx], pool.y[idx], cfg):
-            errors.append(predict_error(ModelParams(theta), secret_test))
+    subsets = [sample_subset(pool, m, rng).indices for _ in range(trials)]
+    errors = [predict_error(ModelParams(theta), secret_test)
+              for _, thetas in train_subsets(pool, subsets, cfg)
+              for theta in thetas]
     return float(np.mean(errors)), float(np.std(errors))
 
 

@@ -10,13 +10,14 @@ accounting in one _Scorer, which makes every detector check and counts
 every rejection; solve_nlp runs the relaxation and then the rounding sweep
 on it, reserving one training per rounding candidate so the sweep always
 fits the budget. Uniform search and the rounding sweep know their subsets
-before any risk, so they train them in batches (train_batch). Beam search
-trains one subset at a time and the relaxation one weight vector at a
-time, both through `train` on a WeightedTrainingView of the pool, whose
-0/1 weights select a subset without copying it. When the wall-clock limit
-passes, uniform and beam search stop. Every run reports the best subset
-it scored; a run that scored none raises SolverError (_finalize), naming
-the deadline if it has passed and the number of draws otherwise.
+before any risk, so they train them in batches (train_subsets, as the
+harness's random baseline does). Beam search trains one subset at a time
+and the relaxation one weight vector at a time, both through `train` on a
+WeightedTrainingView of the pool, whose 0/1 weights select a subset
+without copying it. When the wall-clock limit passes, uniform and beam
+search stop. Every run reports the best subset it scored; a run that
+scored none raises SolverError (_finalize), naming the deadline if it has
+passed and the number of draws otherwise.
 
 Strict detector feasibility psi < 0 is implemented as psi <= -1e-9
 (FEASIBILITY_SLACK) for numerical stability.
@@ -25,6 +26,7 @@ Strict detector feasibility psi < 0 is implemented as psi <= -1e-9
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +68,22 @@ NEIGHBOR_RETRY_FACTOR = 20
 # Most gathered feature values (subsets x m x d) trained in one batch, so a
 # batch's memory stays bounded whatever the budget.
 BATCH_VALUES = 2**16
+
+
+def train_subsets(
+    pool: Dataset, subsets: list[tuple[int, ...]], cfg: LearnerConfig
+) -> Iterator[tuple[list[tuple[int, ...]], np.ndarray]]:
+    """Train the learner on each of `subsets`, m-subsets of the pool, in
+    chunks of at most `BATCH_VALUES` gathered feature values, one
+    `train_batch` call each. Yields each chunk, in order, with its
+    (len(chunk), d) thetas; a chunk trains only when it is asked for."""
+    if not subsets:
+        return
+    rows = max(1, BATCH_VALUES // (len(subsets[0]) * pool.dimension))
+    for start in range(0, len(subsets), rows):
+        chunk = subsets[start:start + rows]
+        idx = np.array(chunk, dtype=np.int64)
+        yield chunk, train_batch(pool.X[idx], pool.y[idx], cfg)
 
 
 class SolverError(RuntimeError):
@@ -233,13 +251,9 @@ class _Scorer:
 
     def risk_many(self, batch: list[tuple[int, ...]]) -> None:
         """Score every subset of `batch`, charging one training each, by
-        batched training; risks are recorded in batch order."""
-        X, y = self.pool.X, self.pool.y
-        rows = max(1, BATCH_VALUES // (self.m * X.shape[1]))
-        for start in range(0, len(batch), rows):
-            chunk = batch[start:start + rows]
-            idx = np.array(chunk, dtype=np.int64)
-            thetas = train_batch(X[idx], y[idx], self.cfg)
+        batched training (`train_subsets`); a chunk's risks are charged and
+        recorded, in batch order, before the next chunk trains."""
+        for chunk, thetas in train_subsets(self.pool, batch, self.cfg):
             margins = self.secret.y * (thetas @ self.secret.X.T)
             risks = np.mean(np.logaddexp(0.0, -margins), axis=1)
             for indices, risk in zip(chunk, risks):

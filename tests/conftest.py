@@ -42,12 +42,12 @@ def subset_risk(pool, indices, secret, cfg):
     return empirical_risk(theta, secret)
 
 
-def exhaustive_best(pool, secret, m, cfg, kernel=None, slack=1e-9):
+def exhaustive_best(pool, secret, m, cfg, kernel=None):
     """Enumerate every m-subset; returns (best_risk, best_indices) over the
     feasible ones (all subsets if kernel is None)."""
     best = (np.inf, None)
     for combo in itertools.combinations(range(len(pool)), m):
-        if kernel is not None and not kernel.feasible(combo, slack):
+        if kernel is not None and not kernel.feasible(combo):
             continue
         risk = subset_risk(pool, combo, secret, cfg)
         if risk < best[0]:

@@ -47,7 +47,6 @@ from covertrain import (
     weighted_mmd,
 )
 from covertrain.learner import instance_losses
-from covertrain.solvers import FEASIBILITY_SLACK
 
 from conftest import exhaustive_best, gaussian_task, make_dataset, subset_risk
 
@@ -265,7 +264,7 @@ def test_criterion_5_solver_contracts():
         det = DetectorConfig.from_pool(pool)
         kernel = PoolKernel(pool, det)
         for combo in itertools.combinations(range(8), 3):
-            assert kernel.feasible(combo, FEASIBILITY_SLACK)
+            assert kernel.feasible(combo)
         optimum, _ = exhaustive_best(pool, secret, 3, LEARNER)
 
         hits = 0

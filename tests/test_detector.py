@@ -18,7 +18,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.spatial.distance
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist, pdist
@@ -854,6 +854,31 @@ class TestRowBlocks:
             else:
                 assert np.all(np.abs(want - one_shot) <= 1e-13 * one_shot)
 
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40),
+           st.integers(1, 3), st.sampled_from([1, 2, 3, 7, 40]), _sigmas)
+    def test_rectangular_row_sums(self, seed, n, m, d, side, sigma):
+        assume(n != m)
+        gen = RngState(seed).generator
+        Z, Zp = gen.standard_normal((n, d)), gen.standard_normal((m, d))
+        scale = -2.0 * sigma * sigma
+        cross, same = [], []
+        with mock.patch.object(detector, "_TASK_ENTRIES", 1), \
+                mock.patch.object(detector, "_CHUNK_BYTES", 8 * side * side):
+            for workers in (1, 2, 3):
+                with mock.patch.object(detector, "_WORKERS", workers):
+                    cross.append(detector._row_sums(Z, scale, Zp=Zp))
+                    same.append(detector._row_sums(Z, scale, Zp=Z.copy()))
+            symmetric = detector._row_sums(Z, scale)
+        for sums, term in cross[1:]:
+            assert np.array_equal(sums, cross[0][0]) and term == cross[0][1]
+        want = _textbook_gram(Z, Zp, sigma).sum(axis=1)
+        assert np.all(np.abs(cross[0][0] - want) <= 1e-13 * np.maximum(want, 1.0))
+        assert cross[0][1] == float(cross[0][0].sum()) / (n * m)
+        # the invariant behind mmd(Z, Z.copy()) == 0
+        for sums, term in same:
+            assert np.array_equal(sums, symmetric[0]) and term == symmetric[1]
+
     def test_one_tile_keeps_the_one_shot_bits(self):
         # tiles of 362 x 362 kernel values at the default 1 MB
         gen = RngState(59).generator
@@ -931,7 +956,8 @@ class TestRowBlocks:
         recording, pools = _recording_pools()
         try:
             sys.setswitchinterval(1e-6)
-            # mmd's chunks of one row: 64 chunks in each of its 4 passes
+            # 5 passes a round: gram's 64 rows, and 36 tiles of 8 x 8 in
+            # `_row_sums` and in each of mmd's 3 tile passes
             with recording, mock.patch.object(detector, "_WORKERS", 8), \
                     mock.patch.object(detector, "_TASK_ENTRIES", 1), \
                     mock.patch.object(detector, "_CHUNK_BYTES", 8 * 64):
@@ -943,7 +969,7 @@ class TestRowBlocks:
         assert not thread.is_alive()
         assert results == [True] * 20
         # 8 blocks a pass: 7 of them on threads, whatever the 2 CPUs
-        assert len(pools) == 120 and all(len(p.blocks) == 7 for p in pools)
+        assert len(pools) == 100 and all(len(p.blocks) == 7 for p in pools)
 
     def test_rectangular_blocks_and_small_work(self):
         gen = RngState(41).generator

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import covertrain.harness as harness
+import covertrain.solvers as solvers
 from covertrain import (
     CandidateSet,
     DataError,
@@ -128,7 +129,7 @@ class TestRandomBaseline:
         pool = gaussian_task(10, 10)
         test = gaussian_task(11, 10, role="test_set")
         whole = random_baseline(pool, test, 4, 7, learner_cfg, RngState(4))
-        monkeypatch.setattr(harness, "BATCH_VALUES", 2 * 4 * pool.dimension)
+        monkeypatch.setattr(solvers, "BATCH_VALUES", 2 * 4 * pool.dimension)
         assert random_baseline(pool, test, 4, 7, learner_cfg, RngState(4)) == whole
 
     def test_empty_test_set_raises(self, learner_cfg):

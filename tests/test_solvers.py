@@ -243,7 +243,7 @@ class TestSolveBeam:
             seen = set()
             while len(seen) < 5:
                 cand = sample_subset(pool, 3, rng)
-                if not kernel.feasible(cand.indices, FEASIBILITY_SLACK):
+                if not kernel.feasible(cand.indices):
                     continue
                 if cand.indices in seen:
                     continue
@@ -359,8 +359,8 @@ class TestSolveBeam:
             trainings.append(1)
             return train(*args, **kwargs)
 
-        def closed(self, indices, slack=FEASIBILITY_SLACK):
-            return len(trainings) < 10 and feasible(self, indices, slack)
+        def closed(self, indices):
+            return len(trainings) < 10 and feasible(self, indices)
 
         monkeypatch.setattr(solvers, "train", trained)
         monkeypatch.setattr(PoolKernel, "feasible", closed)
@@ -792,7 +792,7 @@ def tightened_instance(seed=3, quantile=0.2, m=20, draws=200):
     det = replace(base, kernel_bound=K)
     strict = PoolKernel(pool, det)
     seed_set = sample_subset(pool, m, rng)
-    while not strict.feasible(seed_set.indices, FEASIBILITY_SLACK):
+    while not strict.feasible(seed_set.indices):
         seed_set = sample_subset(pool, m, rng)
     return pool, secret, det, seed_set
 
@@ -915,8 +915,8 @@ class TestAccounting:
         answers, trainings = [], []
         feasible = PoolKernel.feasible
 
-        def audited(self, indices, slack=FEASIBILITY_SLACK):
-            ok = feasible(self, indices, slack)
+        def audited(self, indices):
+            ok = feasible(self, indices)
             answers.append(ok)
             return ok
 

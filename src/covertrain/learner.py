@@ -8,6 +8,9 @@ with natural logarithms throughout. Risk on an evaluation set is the *mean*
 loss; the two normalizations are intentionally different and must not be
 conflated. For lam > 0 the objective is strongly convex, so the minimizer
 theta_hat is unique and training is deterministic.
+
+Training is one damped Newton method, `train_batch`, on a batch of weighted
+training sets; `train` runs it on one row, so a subset gets the same bits.
 """
 
 from __future__ import annotations
@@ -112,11 +115,21 @@ def loss_gradients(theta: ModelParams, X: np.ndarray, y: np.ndarray) -> np.ndarr
     return (-(y * p))[:, None] * X
 
 
-def empirical_risk(theta: ModelParams, data: Dataset) -> float:
-    """Mean logistic loss over a non-empty dataset."""
+def empirical_risks(thetas: np.ndarray, data: Dataset) -> np.ndarray:
+    """Mean logistic loss over a non-empty dataset of each row of the (B, d)
+    `thetas`. Each row's margins are a matrix-vector product of their own,
+    so row k has the bits of `empirical_risk` of thetas[k] whatever B is."""
     if len(data) == 0:
         raise DataError("empirical risk of an empty dataset")
-    return float(np.mean(instance_losses(theta, data.X, data.y)))
+    margins = data.y * (data.X @ thetas[:, :, None])[:, :, 0]
+    losses = np.logaddexp(0.0, -margins)
+    # np.mean(losses, axis=1) to the bit, without its Python overhead
+    return np.add.reduce(losses, axis=1) / losses.shape[1]
+
+
+def empirical_risk(theta: ModelParams, data: Dataset) -> float:
+    """Mean logistic loss over a non-empty dataset (`empirical_risks`)."""
+    return float(empirical_risks(theta.theta[None], data)[0])
 
 
 def _objective_raw(theta_vec, X, y, b, lam) -> float:
@@ -148,104 +161,84 @@ def _backtrack(theta, direction, grad, X, y, b, lam) -> np.ndarray:
     return cand
 
 
-def train(view: WeightedTrainingView, cfg: LearnerConfig) -> ModelParams:
-    """Minimize the weighted regularized objective by damped Newton steps.
-
-    Starts from zero, backtracks with an Armijo condition, and
-    stops when the stationarity residual drops to cfg.tol. Raises
-    TrainingError carrying the final residual if max_iter is exhausted.
-
-    Rows of zero weight add nothing to the objective, so the fit runs on
-    the support of b alone: a fractional b of the relaxation costs
-    O(|supp b|) per step, not O(n), and the result has the bits of
-    training on the pool's subset at the support with b restricted to it.
-    """
+def _on_support(view: WeightedTrainingView):
+    """Features, float labels and weights of the view's rows of nonzero
+    weight, the only rows the objective and its Hessian depend on."""
     X, y, b = view.pool.X, view.pool.y, view.weights
-    support = np.flatnonzero(b)
+    support = b.nonzero()[0]
     if support.size < b.size:
         X, y, b = X[support], y[support], b[support]
-    y = y.astype(np.float64)
-    lam = cfg.lam
-    eye = np.eye(X.shape[1])
+    return X, y.astype(np.float64), b
 
+
+def train(view: WeightedTrainingView, cfg: LearnerConfig) -> ModelParams:
+    """`train_batch` on one row, the support of b: a fractional b costs
+    O(|supp b|) per Newton step, not O(n), and the model has the bits of
+    training on the pool's subset at the support with b restricted to it."""
+    X, y, b = _on_support(view)
+    return ModelParams(train_batch(X[None], y[None], cfg, b[None])[0])
+
+
+def train_batch(
+    X: np.ndarray, y: np.ndarray, cfg: LearnerConfig,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Minimize the weighted regularized objective of each row of a batch by
+    damped Newton steps. X is (B, m, d), y and weights (B, m), weights one
+    by default; returns the (B, d) minimizers. Each row starts from zero and
+    takes its full Newton step whenever that shrinks its residual (it always
+    does in the quadratic regime, where an Armijo test would stall on float
+    resolution), else backtracks with an Armijo condition. A row within
+    cfg.tol drops out of the later steps, so it ends exactly where a batch of
+    that row alone ends. Raises TrainingError carrying the largest residual
+    if a row is above cfg.tol after cfg.max_iter steps."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)[:, :, None]
+    w = (np.ones(y.shape) if weights is None
+         else np.asarray(weights, dtype=np.float64)[:, :, None])
+    lam, tol = cfg.lam, cfg.tol
+    ridge = lam * np.eye(X.shape[2])
+    out = np.zeros((X.shape[0], X.shape[2], 1))
+    rows = np.arange(X.shape[0])  # the batch rows still above tol
+
+    # theta, its gradient and Newton direction are (rows, d, 1) columns;
+    # -(y * z) is (-y) * z to the bit, so the negations are made once
     def state(t):
-        p = expit(-_margins(t, X, y))
-        grad = X.T @ (-(b * y * p)) + lam * t
-        return p, grad, float(np.linalg.norm(grad))
+        p = expit(ny * (X @ t))
+        grad = Xt @ (nwy * p) + lam * t
+        # np.linalg.norm(grad, axis=1) without its Python overhead, as
+        # Python floats, on which the per-row tests below are cheapest
+        return p, grad, np.sqrt(np.add.reduce(grad * grad, axis=1)).ravel().tolist()
 
-    theta = np.zeros(X.shape[1])
+    Xt, ny, nwy = X.transpose(0, 2, 1), -y, -(w * y)
+    theta = out  # zero: out holds zeros until a row is done
     p, grad, residual = state(theta)
-    for _ in range(cfg.max_iter):
-        if residual <= cfg.tol:
-            return ModelParams(theta)
-        w = b * p * (1.0 - p)
-        hess = (X.T * w) @ X + lam * eye
+    for step in range(cfg.max_iter + 1):
+        live = [k for k, r in enumerate(residual) if not r <= tol]  # NaN: live
+        if not live or len(live) < rows.size:
+            out[rows] = theta
+            if not live:
+                return out[:, :, 0]
+            rows, X, y, w, theta, p, grad = (
+                a[live] for a in (rows, X, y, w, theta, p, grad))
+            residual = [residual[k] for k in live]
+            Xt, ny, nwy = X.transpose(0, 2, 1), -y, -(w * y)
+        if step == cfg.max_iter:
+            break
+        hess = (X * (w * p * (1.0 - p))).transpose(0, 2, 1) @ X + ridge
         direction = np.linalg.solve(hess, grad)
 
-        # full Newton step whenever it shrinks the residual (it always does
-        # in the quadratic regime, where objective differences fall below
-        # float resolution and an Armijo test would stall)
         cand = theta - direction
         cand_state = state(cand)
-        if not cand_state[2] < residual:
-            cand = _backtrack(theta, direction, grad, X, y, b, lam)
+        damped = [k for k, (r, c) in enumerate(zip(residual, cand_state[2]))
+                  if not c < r]
+        for k in damped:
+            cand[k, :, 0] = _backtrack(theta[k, :, 0], direction[k, :, 0], grad[k, :, 0],
+                                       X[k], y[k, :, 0], w[k, :, 0], lam)
+        if damped:
             cand_state = state(cand)
         theta, (p, grad, residual) = cand, cand_state
 
-    if residual <= cfg.tol:
-        return ModelParams(theta)
-    raise TrainingError(
-        f"no convergence in {cfg.max_iter} iterations (residual {residual:.3e})",
-        residual=residual,
-    )
-
-
-def train_batch(X: np.ndarray, y: np.ndarray, cfg: LearnerConfig) -> np.ndarray:
-    """Train one model per row of a batch of unit-weight training sets.
-
-    X has shape (B, m, d) and y shape (B, m); returns the (B, d) minimizers.
-    Runs train's method on all rows at once: each row starts from zero,
-    takes its full Newton step whenever that shrinks its residual and
-    otherwise train's Armijo backtracking. A row whose residual is within
-    cfg.tol is left unchanged from then on, so each row ends exactly where
-    a batch of that row alone ends. Raises TrainingError carrying the
-    largest residual if any row is still above cfg.tol after cfg.max_iter
-    steps.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    Xt = np.swapaxes(X, 1, 2)
-    lam = cfg.lam
-    eye = np.eye(X.shape[2])
-    ones = np.ones(X.shape[1])
-
-    def state(t):
-        p = expit(-(y * (X @ t[:, :, None])[:, :, 0]))
-        grad = (Xt @ (-(y * p))[:, :, None])[:, :, 0] + lam * t
-        return p, grad, np.linalg.norm(grad, axis=1, keepdims=True)
-
-    theta = np.zeros((X.shape[0], X.shape[2]))
-    p, grad, residual = state(theta)
-    for _ in range(cfg.max_iter):
-        active = ~(residual <= cfg.tol)  # (B, 1); a NaN row stays active
-        if not active.any():
-            return theta
-        hess = (Xt * (p * (1.0 - p))[:, None, :]) @ X + lam * eye
-        direction = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
-
-        cand = theta - direction
-        cand_state = state(cand)
-        damped = np.flatnonzero(active & ~(cand_state[2] < residual))
-        for k in damped:
-            cand[k] = _backtrack(theta[k], direction[k], grad[k], X[k], y[k], ones, lam)
-        if damped.size:
-            cand_state = state(cand)
-        theta, p, grad, residual = (
-            np.where(active, new, old)
-            for new, old in zip((cand, *cand_state), (theta, p, grad, residual)))
-
-    if np.all(residual <= cfg.tol):
-        return theta
     worst = float(np.max(residual))  # NaN if any row's residual is NaN
     raise TrainingError(
         f"no convergence in {cfg.max_iter} iterations "
@@ -275,12 +268,11 @@ def risk_gradient_wrt_weights(
     sum_i b_i grad_loss_i(theta_hat) + lam * theta_hat = 0: solve
     (H + lam I) u = -grad_theta(secret risk) with H the weighted loss
     Hessian, then g_i = <u, grad_loss_i(theta_hat)>. Requires lam > 0 so
-    the system is nonsingular.
+    the system is nonsingular. H is formed on the support of b, as `train`
+    forms it; g has an entry for every pool row, zero weight or not.
     """
-    X, y, b = view.pool.X, view.pool.y.astype(np.float64), view.weights
-    th = theta.theta
-
-    p = expit(-_margins(th, X, y))
+    X, y, b = _on_support(view)
+    p = expit(-_margins(theta.theta, X, y))
     w = b * p * (1.0 - p)
     hess = (X.T * w) @ X + cfg.lam * np.eye(X.shape[1])
 
@@ -289,4 +281,4 @@ def risk_gradient_wrt_weights(
         u = np.linalg.solve(hess, -secret_grad)
     except np.linalg.LinAlgError as exc:
         raise TrainingError(f"sensitivity system is singular: {exc}") from exc
-    return loss_gradients(theta, X, y) @ u
+    return loss_gradients(theta, view.pool.X, view.pool.y) @ u

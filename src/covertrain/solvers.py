@@ -14,10 +14,12 @@ before any risk, so they train them in batches (train_subsets, as the
 harness's random baseline does). Beam search trains one subset at a time
 and the relaxation one weight vector at a time, both through `train` on a
 WeightedTrainingView of the pool, whose 0/1 weights select a subset
-without copying it. When the wall-clock limit passes, uniform and beam
-search stop. Every run reports the best subset it scored; a run that
-scored none raises SolverError (_finalize), naming the deadline if it has
-passed and the number of draws otherwise.
+without copying it. `train` is `train_batch` on one row and every risk is
+`empirical_risk`, so a report's cached risk is a fresh recomputation, to
+the bit. When the wall-clock limit passes, uniform and beam search stop.
+Every run reports the best subset it scored; a run that scored none raises
+SolverError (_finalize), naming the deadline if it has passed and the
+number of draws otherwise.
 
 Strict detector feasibility psi < 0 is implemented as psi <= -1e-9
 (FEASIBILITY_SLACK) for numerical stability.
@@ -41,6 +43,7 @@ from .learner import (
     ModelParams,
     WeightedTrainingView,
     empirical_risk,
+    empirical_risks,
     risk_gradient_wrt_weights,
     stationarity_residual,
     subset_weights,
@@ -254,9 +257,7 @@ class _Scorer:
         batched training (`train_subsets`); a chunk's risks are charged and
         recorded, in batch order, before the next chunk trains."""
         for chunk, thetas in train_subsets(self.pool, batch, self.cfg):
-            margins = self.secret.y * (thetas @ self.secret.X.T)
-            risks = np.mean(np.logaddexp(0.0, -margins), axis=1)
-            for indices, risk in zip(chunk, risks):
+            for indices, risk in zip(chunk, empirical_risks(thetas, self.secret)):
                 self.trainings += 1
                 self._record(indices, float(risk))
 

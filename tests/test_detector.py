@@ -460,7 +460,7 @@ class TestGramMemoryGuard:
         # a kernel that stores its Gram matrix builds it through gram
         with dense_kernels(), pytest.raises(DetectorError, match="20x20"):
             PoolKernel(pool, cfg)
-        # detect sums its kernel values in chunks and allocates no n x n matrix
+        # detect sums its kernel values in tiles and allocates no n x n matrix
         assert detect(pool, sample, cfg) == unlimited
 
 
@@ -490,7 +490,7 @@ class TestPeakMemory:
             tracemalloc.stop()
         # one buffer of the n(n-1)/2 squared distances, and a few small arrays
         assert 8 * n * (n - 1) // 2 <= calibrate <= 8 * n * (n - 1) // 2 + (1 << 16)
-        # chunks of about 1 MB a worker, where one n x n matrix is 8 MB
+        # one tile buffer of about 1 MB a worker, where one n x n matrix is 8 MB
         assert verify < 8 * n * n // 2
 
     def test_gram_free_kernel(self):
@@ -672,7 +672,8 @@ class TestProperties:
         Z = augment(pool.X, pool.y, cfg.label_scale_c)
         idx = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
         b = data.draw(_sparse_weights(n))
-        # chunks of 1 to n rows, for the row sums and the weighted terms
+        # blocks of 1 to n rows for the weighted terms, and tiles of
+        # isqrt(n * rows) points a side for the row sums
         rows = data.draw(st.integers(1, n))
         with mock.patch.object(detector, "_CHUNK_BYTES", 8 * n * rows):
             with dense_kernels():
@@ -725,7 +726,7 @@ class TestProperties:
         Z, Zp = gen.standard_normal((n, d)), gen.standard_normal((m, d))
         cfg = config(sigma=sigma)
         values = []
-        # chunks of `rows` rows of the pool term
+        # tiles of isqrt(n * rows) points a side, in each of the three passes
         with mock.patch.object(detector, "_CHUNK_BYTES", 8 * n * rows), \
                 mock.patch.object(detector, "_TASK_ENTRIES", 1):
             for workers in (1, 2, 3):
@@ -817,7 +818,7 @@ class TestRowBlocks:
             # computed in tiles of isqrt(n) rows, and read from K
             row_sums, pool_term = detector._row_sums(Z, -2.0 * sigma * sigma)
             read_sums, read_term = detector._row_sums(Z, -2.0 * sigma * sigma, K)
-            chunked = mmd(Z, sample, cfg)  # one row per chunk
+            chunked = mmd(Z, sample, cfg)  # tiles of isqrt(n) points
             calibrated = _calibration_or_message(pool)
         if len(pool) >= 2:  # n below the worker count included
             assert any(p.blocks for p in pools)
@@ -827,7 +828,7 @@ class TestRowBlocks:
         assert np.array_equal(row_sums, want)
         assert np.array_equal(read_sums, want)
         assert pool_term == read_term == float(want.sum()) / len(pool) ** 2
-        # the chunks' sums add up in another order than one chunk's, so the
+        # the tiles' sums add up in another order than one tile's, so the
         # radicands agree to rounding, which the square root magnifies near 0
         assert abs(chunked ** 2 - one_chunk ** 2) <= 1e-13
         _assert_textbook_calibration(calibrated, pool)

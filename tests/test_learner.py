@@ -253,28 +253,44 @@ def damped_instance():
     return X, np.array([1, -1, 1, -1, 1, -1]), LearnerConfig(lam=1e-5)
 
 
-def train_rows(X, y, cfg):
-    """`train` on each row of a batch, one subset at a time."""
-    return np.array([train(ones_view(make_dataset(Xr, yr)), cfg).theta
-                     for Xr, yr in zip(X, y)])
+DAMPED_WEIGHTS = np.array([0.5, 1.0, 0.25, 0.9, 1.0, 0.7])
+
+
+def assert_rows_stationary(thetas, X, y, weights, cfg):
+    """Each row's theta is stationary to cfg.tol on its own weighted view:
+    its training set, weighted by its row of `weights`."""
+    for theta, Xr, yr, wr in zip(thetas, X, y, weights):
+        view = WeightedTrainingView(make_dataset(Xr, yr), wr)
+        assert stationarity_residual(ModelParams(theta), view, cfg) <= cfg.tol
 
 
 class TestTrainBatch:
-    """Rows agree with `train` within 2 tol / lam: both solutions are
-    stationary to tol, and the objective is lam-strongly convex."""
+    """Rows are certified by their own stationarity residual, and each row
+    has the bits of a batch of that row alone."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_rows_match_train(self, data):
+    def test_rows_are_stationary_and_alone(self, data):
         B, m, d = (data.draw(st.integers(1, hi)) for hi in (5, 8, 4))
         X = data.draw(arrays(np.float64, (B, m, d),
                              elements=st.floats(-5.0, 5.0)))
         y = data.draw(arrays(np.int64, (B, m), elements=st.sampled_from([-1, 1])))
+        # default (unit) weights, or rows mixing 0, 1 and fractions; one
+        # weight in [0.1, 1] a row keeps its sum positive
+        unit = data.draw(st.booleans())
+        weights = data.draw(arrays(np.float64, (B, m), elements=st.one_of(
+            st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))))
+        anchors = data.draw(arrays(np.int64, B, elements=st.integers(0, m - 1)))
+        weights[np.arange(B), anchors] = data.draw(st.floats(0.1, 1.0))
+        if unit:
+            weights[:] = 1.0
         cfg = LearnerConfig(lam=data.draw(st.floats(0.1, 10.0)))
-        got = learner.train_batch(X, y, cfg)
+        got = learner.train_batch(X, y, cfg, None if unit else weights)
         assert got.shape == (B, d)
-        gaps = np.linalg.norm(got - train_rows(X, y, cfg), axis=1)
-        assert np.all(gaps <= 2.0 * cfg.tol / cfg.lam)
+        assert_rows_stationary(got, X, y, weights, cfg)
+        for k in range(B):
+            alone = learner.train_batch(X[k:k + 1], y[k:k + 1], cfg, weights[k:k + 1])
+            assert np.array_equal(got[k], alone[0])
 
     def test_damped_row_beside_ordinary_rows(self, monkeypatch):
         calls = []
@@ -285,30 +301,40 @@ class TestTrainBatch:
             return objective_raw(*args)
 
         X_damped, y_damped, cfg = damped_instance()
-        ordinary = RngState(28).generator.standard_normal((2, 6, 3))
-        X = np.concatenate([ordinary[:1], X_damped[None], ordinary[1:]])
-        y = np.tile(y_damped, (3, 1))
+        ordinary = RngState(28).generator.standard_normal((3, 6, 3))
+        X = np.concatenate([ordinary[:1], X_damped[None], ordinary[1:], X_damped[None]])
+        y = np.tile(y_damped, (5, 1))
+        # ordinary rows with unit, fractional and 0/1 weights; the damped
+        # instance with unit and with fractional weights
+        weights = np.array([np.ones(6), np.ones(6), DAMPED_WEIGHTS,
+                            [1, 0, 1, 1, 0, 1], DAMPED_WEIGHTS])
         monkeypatch.setattr(learner, "_objective_raw", counted)
-        got = learner.train_batch(X, y, cfg)
+        got = learner.train_batch(X, y, cfg, weights)
         assert calls  # the Armijo backtracking ran inside the batch
-        gaps = np.linalg.norm(got - train_rows(X, y, cfg), axis=1)
-        assert np.all(gaps <= 2.0 * cfg.tol / cfg.lam)
+        assert_rows_stationary(got, X, y, weights, cfg)
 
     def test_rows_are_independent_and_frozen_once_converged(self):
-        # an ordinary row, the damped row, a single-class row and a row of
-        # duplicates: each row of the batch is exactly the row trained alone
+        # an ordinary row, the damped row, a single-class row, a row of
+        # duplicates and the damped row weighted: each row of the batch,
+        # unit or weighted, is exactly the row trained alone
         X_damped, y_damped, cfg = damped_instance()
         gen = RngState(29).generator
         duplicates = np.repeat(gen.standard_normal((2, 3)), [4, 2], axis=0)
         X = np.stack([gen.standard_normal((6, 3)), X_damped,
-                      gen.standard_normal((6, 3)), duplicates])
-        y = np.stack([y_damped, y_damped, np.ones(6, int), [1, -1, 1, 1, -1, -1]])
-        got = learner.train_batch(X, y, cfg)
-        for k in range(len(X)):
-            alone = learner.train_batch(X[k:k + 1], y[k:k + 1], cfg)[0]
-            assert np.array_equal(got[k], alone)
-        gaps = np.linalg.norm(got - train_rows(X, y, cfg), axis=1)
-        assert np.all(gaps <= 2.0 * cfg.tol / cfg.lam)
+                      gen.standard_normal((6, 3)), duplicates, X_damped])
+        y = np.stack([y_damped, y_damped, np.ones(6, int), [1, -1, 1, 1, -1, -1],
+                      y_damped])
+        unit = np.ones((len(X), 6))
+        weighted = np.stack([DAMPED_WEIGHTS, np.ones(6), [1, 0, 1, 1, 0, 1],
+                             DAMPED_WEIGHTS[::-1], DAMPED_WEIGHTS])
+        for weights in (None, weighted):
+            got = learner.train_batch(X, y, cfg, weights)
+            rows = unit if weights is None else weights
+            for k in range(len(X)):
+                alone = learner.train_batch(X[k:k + 1], y[k:k + 1], cfg,
+                                            rows[k:k + 1])[0]
+                assert np.array_equal(got[k], alone)
+            assert_rows_stationary(got, X, y, rows, cfg)
 
         # the rows converge after different numbers of steps, so the rows
         # that finish first sat unchanged through the batch's later steps

@@ -38,7 +38,7 @@ from covertrain import (
     solve_uniform,
     train,
 )
-from covertrain.learner import train_batch
+from covertrain.learner import subset_weights, train_batch
 from covertrain.solvers import FEASIBILITY_SLACK, round_relaxed, solve_relaxed
 
 from conftest import exhaustive_best, gaussian_task, make_dataset, subset_risk
@@ -190,7 +190,7 @@ class TestSolveUniform:
         best = report.best
         fresh_risk = subset_risk(pool, best.indices, secret, learner_cfg)
         fresh_psi = psi_fn(pool, best, det).psi
-        assert abs(best.cached_risk - fresh_risk) <= 1e-12 * abs(fresh_risk)
+        assert best.cached_risk == fresh_risk
         assert abs(best.cached_psi - fresh_psi) <= 1e-12 * abs(fresh_psi)
 
     def test_wall_clock_limit_before_first_evaluation(self, learner_cfg):
@@ -840,10 +840,8 @@ class TestBatchedScoring:
         assert report.best.indices == best_idx
         assert report.trainings_used == trainings
         assert report.feasibility_rejections == rejections
-        assert [c for c, _ in report.trajectory] == [c for c, _ in trajectory]
-        for (_, got), (_, want) in zip(report.trajectory, trajectory):
-            assert abs(got - want) <= 1e-12
-        assert abs(report.best.cached_risk - best_risk) <= 1e-12
+        assert report.trajectory == trajectory
+        assert report.best.cached_risk == best_risk
 
     @pytest.mark.parametrize("instance, B, dedup", [
         ("tightened", 60, True), ("brute", 80, True), ("brute", 80, False)])
@@ -899,6 +897,37 @@ class TestBatchedScoring:
         reference = reference_scores(pool, secret, learner_cfg, feasible, relaxed)
         self.assert_matches(report, reference,
                             rejected + len(candidates) - len(feasible))
+
+
+class TestCachedRisk:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cached_risk_is_a_fresh_training(self, data):
+        # every solver reports the bits that training its best subset anew,
+        # as 0/1 weights on the pool, and scoring it give
+        solver = data.draw(st.sampled_from(["uniform", "beam", "nlp"]))
+        d, n_per = data.draw(st.integers(1, 20)), data.draw(st.integers(3, 12))
+        m = data.draw(st.integers(2, 2 * n_per - 1))
+        seed = data.draw(st.integers(0, 10**6))
+        pool = gaussian_task(seed, n_per, dim=d, separation=2.0, std=1.5)
+        secret = gaussian_task(seed + 1, data.draw(st.integers(3, 40)), dim=d,
+                               role="secret_set")
+        # a kernel bound this large puts every subset below the threshold
+        det = replace(DetectorConfig.from_pool(pool), kernel_bound=1e6)
+        cfg = LearnerConfig(lam=data.draw(st.floats(0.1, 10.0)))
+        budget = SolverBudget(max_trainings=data.draw(st.integers(m + 2, 60)),
+                              beam_width=3, neighbors_per_state=4)
+        rng = RngState(seed)
+        if solver == "uniform":
+            report = solve_uniform(pool, secret, m, cfg, det, budget, rng)
+        elif solver == "beam":
+            report = solve_beam(pool, secret, m, cfg, det, budget, rng)
+        else:
+            report = solve_nlp(pool, secret, m, cfg, det,
+                               sample_subset(pool, m, rng), budget)
+        weights = subset_weights(len(pool), report.best.indices)
+        fresh = empirical_risk(train(WeightedTrainingView(pool, weights), cfg), secret)
+        assert report.best.cached_risk == fresh
 
 
 class TestAccounting:

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import click
 
-from .data import load_dataset, save_dataset
-from .detector import DetectorConfig, detect
+from .data import DataError, load_dataset, save_dataset
+from .detector import DetectorConfig, DetectorError, detect
 from .harness import ExperimentConfig, run_experiment, rerun_from_manifest
 from .synth import SyntheticSpec, generate
 
@@ -46,12 +46,19 @@ def mmd_test_cmd(pool_path, candidate_path, alpha, label_map_json):
     """Two-sample test of CANDIDATE against POOL; prints a JSON verdict.
 
     The kernel bandwidth and label scale are calibrated on the pool only.
+    Exits 0 when the candidate passes, 1 when the detector flags it and 2 on
+    bad input (a malformed file, a degenerate pool, differing feature
+    counts), after one `Error: ...` line on stderr.
     """
     label_map = json.loads(label_map_json) if label_map_json else None
-    pool = load_dataset(pool_path, label_map=label_map, role="camouflage_pool")
-    cand = load_dataset(candidate_path, label_map=label_map, role="test_set")
-    cfg = DetectorConfig.from_pool(pool, alpha=alpha)
-    verdict = detect(pool, cand, cfg)
+    try:
+        pool = load_dataset(pool_path, label_map=label_map, role="camouflage_pool")
+        cand = load_dataset(candidate_path, label_map=label_map, role="test_set")
+        cfg = DetectorConfig.from_pool(pool, alpha=alpha)
+        verdict = detect(pool, cand, cfg)
+    except (DataError, DetectorError) as exc:
+        click.echo(f"Error: {exc}", err=True)
+        sys.exit(2)
     click.echo(json.dumps(
         {**verdict.to_dict(), "sigma": cfg.sigma, "c": cfg.label_scale_c},
         sort_keys=True, indent=2,

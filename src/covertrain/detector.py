@@ -287,7 +287,8 @@ def mmd_threshold(n: int, m: int, cfg: DetectorConfig) -> float:
 def detect(pool: Dataset, sample: Dataset, cfg: DetectorConfig) -> DetectionVerdict:
     """Run the two-sample test of `sample` against `pool`."""
     if pool.dimension != sample.dimension:
-        raise DetectorError("pool and sample dimensions differ")
+        raise DetectorError(f"pool has {pool.dimension} features, "
+                            f"sample has {sample.dimension}")
     Z = augment(pool.X, pool.y, cfg.label_scale_c)
     Zp = augment(sample.X, sample.y, cfg.label_scale_c)
     value = mmd(Z, Zp, cfg)
@@ -330,7 +331,7 @@ def _mmd_root(pool_term: float, cross: float, within: float) -> float:
     return math.sqrt(max(pool_term - 2.0 * cross + within, 0.0))
 
 
-def _row_sums(Z: np.ndarray, scale: float, K: np.ndarray | None = None,
+def _row_sums(Z: np.ndarray, scale: float,
               Zp: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Row sums of the kernel matrix k(Z, Zp), Zp = Z when not given, and
     their total over n m (for Zp = Z, the weight-free first term of the MMD
@@ -349,9 +350,8 @@ def _row_sums(Z: np.ndarray, scale: float, K: np.ndarray | None = None,
     Each row's parts add up in tile order; a part whose block is empty
     stays zero. The tiles depend only on the shapes, so the bits do not
     depend on how `_in_row_blocks` spreads them over workers, and one tile
-    gets the bits of k(Z, Zp).sum(axis=1). Tiles are read from the Gram
-    matrix K of Z when it is given (for Zp = Z) and computed (`_kernels`)
-    otherwise, with the same bits; no n x m matrix is allocated.
+    gets the bits of k(Z, Zp).sum(axis=1). Every tile is computed
+    (`_kernels`) into its task's buffer, so no n x m matrix is allocated.
     """
     Zp = Z if Zp is None else Zp
     symmetric = Zp is Z
@@ -365,12 +365,10 @@ def _row_sums(Z: np.ndarray, scale: float, K: np.ndarray | None = None,
     parts = np.zeros((len(blocks), n))
 
     def task(lo, hi):
-        buf = np.empty(min(side, max(n, m)) ** 2) if K is None else None
+        buf = np.empty(min(side, max(n, m)) ** 2)
 
         def tile(A, B, I, J):
-            """k(A_I, B_J), read from K or computed into the task's buffer."""
-            if K is not None:
-                return K[blocks[I], blocks[J]]
+            """k(A_I, B_J), computed into the task's buffer."""
             a, b = A[blocks[I]], B[blocks[J]]
             out = buf[:a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
             return _kernels(a, b, scale, out=out)
@@ -458,13 +456,13 @@ _GRAM_CAP_BYTES = 1 << 24
 class PoolKernel:
     """Kernel machinery for one pool under one detector config.
 
-    The pool's augmented points and the row sums of its Gram matrix are
-    computed once and shared read-only. A pool whose n x n float64 Gram
-    matrix fits in `_GRAM_CAP_BYTES` also stores the matrix, and every kernel
-    block is gathered from it; a larger pool computes each block it needs
-    (`_block`), with the same bits. So a candidate's MMD costs O(m^2) kernel
-    values, the weighted variant O(|supp b|^2) and its gradient
-    O(|supp b| n). All methods are pure.
+    The pool's augmented points and row sums (`_row_sums`) are computed
+    once and shared read-only. The Gram cap decides only how `_block`, the
+    one reader of the stored matrix, reads a block: a pool whose n x n
+    float64 Gram matrix fits in `_GRAM_CAP_BYTES` stores it and gathers
+    every block; a larger pool computes each block, with the same bits. A
+    candidate's MMD costs O(m^2) kernel values, the weighted variant
+    O(|supp b|^2) and its gradient O(|supp b| n). All methods are pure.
     """
 
     def __init__(self, pool: Dataset, cfg: DetectorConfig):
@@ -475,9 +473,10 @@ class PoolKernel:
         self._scale = -2.0 * cfg.sigma * cfg.sigma
         self._K = None
         if 8 * self.n * self.n <= _GRAM_CAP_BYTES:
-            self._K = gram(self._Z, self._Z, cfg.sigma)
-            self._K.setflags(write=False)
-        self._row_sums, self._pool_term = _row_sums(self._Z, self._scale, self._K)
+            K = gram(self._Z, self._Z, cfg.sigma)
+            K.setflags(write=False)
+            self._K = K
+        self._row_sums, self._pool_term = _row_sums(self._Z, self._scale)
 
     def _block(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """k(z_i, z_j) for i in `rows` and j in `cols` (index arrays; every
@@ -485,7 +484,7 @@ class PoolKernel:
         K = self._K
         if K is None:
             return _computed_block(self._Z, self._scale, rows, cols)
-        return K[rows] if cols is None else K[np.ix_(rows, cols)]
+        return K[rows] if cols is None else K[rows[:, None], cols]
 
     def fits(self, pool: Dataset, cfg: DetectorConfig) -> bool:
         """True when this is the kernel of `pool`'s contents under `cfg`."""

@@ -296,6 +296,15 @@ def run_experiment(
             )
             for p in cfg.cover_paths
         ]
+        others = list(zip(cfg.cover_paths, covers))
+        if cfg.test_path is not None:
+            others.append((cfg.test_path, secret_test))
+        for path, data in others:
+            if data.dimension != secret_full.dimension:
+                raise DataError(
+                    f"{path} has {data.dimension} features, the secret set "
+                    f"{cfg.secret_path} has {secret_full.dimension}"
+                )
         for i, pool in enumerate(covers):
             if cfg.m > len(pool):
                 raise DataError(

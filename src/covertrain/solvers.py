@@ -322,6 +322,15 @@ def solve_uniform(
     return _finalize(scorer, "uniform", rng.seed)
 
 
+def _complement(indices, n: int) -> np.ndarray:
+    """The sorted pool indices in range(n) that are not in `indices`, read
+    off a boolean mask (the sorted int64 array np.setdiff1d gives, in O(n)
+    without its sort)."""
+    outside = np.ones(n, dtype=bool)
+    outside[np.asarray(indices, dtype=np.int64)] = False
+    return np.flatnonzero(outside)
+
+
 def neighbors(
     indices: tuple[int, ...], auditor: _Scorer | PoolKernel, count: int,
     rng: RngState,
@@ -333,14 +342,16 @@ def neighbors(
     chosen uniformly. Each new proposal is audited by `auditor.feasible`
     (a run's _Scorer counts the rejections); infeasible or repeated
     proposals are discarded and redrawn, consuming no training budget, with
-    total proposals capped at 20 * count. May return fewer than `count`
-    sets; returns none when the subset already covers the pool.
+    total proposals capped at 20 * count. The out-of-set index is drawn
+    from the sorted complement (`_complement`), so the draws, and the rng
+    stream, depend only on the set. May return fewer than `count` sets;
+    returns none when the subset already covers the pool.
     """
     n = len(auditor.pool)
     m = len(indices)
     if m >= n or count <= 0:
         return []
-    complement = np.setdiff1d(np.arange(n), np.asarray(indices, dtype=np.int64))
+    complement = _complement(indices, n)
     gen = rng.generator
 
     out: list[tuple[int, ...]] = []
@@ -545,9 +556,7 @@ def rounding_candidates(
     """
     b = np.asarray(b, dtype=np.float64)
     seed = np.asarray(seed_indices, dtype=np.int64)
-    outside = np.ones(n, dtype=bool)
-    outside[seed] = False
-    comp = np.flatnonzero(outside)
+    comp = _complement(seed, n)
     # by b descending, then by pool index: lexsort's last key is its first
     keep_order = seed[np.lexsort((seed, -b[seed]))].tolist()
     add_order = comp[np.lexsort((comp, -b[comp]))].tolist()

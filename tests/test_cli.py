@@ -73,6 +73,35 @@ class TestMmdTestCommand:
         assert res.exit_code == 1
         assert json.loads(res.output)["suspicious"] is True
 
+    def assert_bad_input(self, res, message):
+        # exit 1 means "flagged", so bad input exits 2 with one stderr line
+        assert res.exit_code == 2, res.output
+        assert res.stdout == ""
+        assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
+        assert message in res.stderr
+
+    def test_malformed_candidate_is_bad_input(self, tmp_path):
+        invoke("synth", "--out", tmp_path, "--seed", 1)
+        (tmp_path / "cand.csv").write_text("f0,f1,label\n0.5,1.0,7\n")
+        res = invoke("mmd-test", tmp_path / "cover.csv", tmp_path / "cand.csv")
+        self.assert_bad_input(res, "cand.csv")
+
+    def test_dimension_mismatch_is_bad_input(self, tmp_path):
+        invoke("synth", "--out", tmp_path, "--seed", 1)
+        invoke("synth", "--out", tmp_path / "wide", "--seed", 1, "--dim", 3)
+        res = invoke("mmd-test", tmp_path / "cover.csv",
+                     tmp_path / "wide" / "secret_test.csv")
+        self.assert_bad_input(res, "pool has 2 features, sample has 3")
+
+    def test_degenerate_pool_is_bad_input(self, tmp_path):
+        from covertrain import Dataset
+
+        invoke("synth", "--out", tmp_path, "--seed", 1)
+        pool = load_dataset(tmp_path / "cover.csv")
+        save_dataset(Dataset(0.0 * pool.X, pool.y), tmp_path / "flat.csv")
+        res = invoke("mmd-test", tmp_path / "flat.csv", tmp_path / "cover.csv")
+        self.assert_bad_input(res, "degenerate pool")
+
 
 class TestRunAndRerun:
     def test_run_then_rerun_matches(self, tmp_path):

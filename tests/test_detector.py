@@ -815,9 +815,8 @@ class TestRowBlocks:
                 mock.patch.object(detector, "_WORKERS", workers), \
                 mock.patch.object(detector, "_CHUNK_BYTES", 8 * len(pool)):
             K = gram(Z, Z, sigma)
-            # computed in tiles of isqrt(n) rows, and read from K
+            # computed in tiles of isqrt(n) rows
             row_sums, pool_term = detector._row_sums(Z, -2.0 * sigma * sigma)
-            read_sums, read_term = detector._row_sums(Z, -2.0 * sigma * sigma, K)
             chunked = mmd(Z, sample, cfg)  # tiles of isqrt(n) points
             calibrated = _calibration_or_message(pool)
         if len(pool) >= 2:  # n below the worker count included
@@ -826,8 +825,7 @@ class TestRowBlocks:
         # one tile for n = 1, several above
         want = _tile_row_sums(K, math.isqrt(len(pool)))
         assert np.array_equal(row_sums, want)
-        assert np.array_equal(read_sums, want)
-        assert pool_term == read_term == float(want.sum()) / len(pool) ** 2
+        assert pool_term == float(want.sum()) / len(pool) ** 2
         # the tiles' sums add up in another order than one tile's, so the
         # radicands agree to rounding, which the square root magnifies near 0
         assert abs(chunked ** 2 - one_chunk ** 2) <= 1e-13
@@ -846,9 +844,8 @@ class TestRowBlocks:
                         mock.patch.object(detector, "_TASK_ENTRIES", 1), \
                         mock.patch.object(detector, "_CHUNK_BYTES", 8 * side * side):
                     computed, term = detector._row_sums(Z, scale)
-                    read, read_term = detector._row_sums(Z, scale, K)
-                assert np.array_equal(computed, want) and np.array_equal(read, want)
-                assert term == read_term == float(want.sum()) / n ** 2
+                assert np.array_equal(computed, want)
+                assert term == float(want.sum()) / n ** 2
             one_shot = K.sum(axis=1)
             if side >= n:  # one tile
                 assert np.array_equal(want, one_shot)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import covertrain.harness as harness
 import covertrain.solvers as solvers
@@ -27,6 +29,7 @@ from covertrain import (
     SolverError,
     SolverReport,
     StageError,
+    TrainingError,
     load_dataset,
     oracle_baseline,
     random_baseline,
@@ -372,6 +375,23 @@ class TestRunExperiment:
         assert manifest["failed_stage"] == "load"
         assert "error" in manifest
 
+    @pytest.mark.parametrize("role", ["cover", "secret_test"])
+    def test_feature_count_mismatch_fails_at_load(self, tmp_path, role):
+        # a 3-feature cover pool or test set beside a 2-feature secret set
+        paths = write_task_files(tmp_path)
+        data = load_dataset(paths[role])
+        wide = np.hstack([data.X, np.ones((len(data), 1))])
+        save_dataset(Dataset(wide, data.y, role=data.role), paths[role])
+        cfg = base_config(tmp_path, paths)
+        with pytest.raises(StageError) as err:
+            run_experiment(cfg)
+        assert err.value.stage == "load"
+        assert isinstance(err.value.cause, DataError)
+        assert str(err.value.cause) == (
+            f"{paths[role]} has 3 features, the secret set {paths['secret']} has 2")
+        manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "load"
+
     def test_constant_feature_pool_fails_at_select_cover(self, tmp_path):
         paths = write_task_files(tmp_path)
         cover = load_dataset(paths["cover"])
@@ -523,3 +543,70 @@ class TestRunExperiment:
                 solver_error=1.5, random_error_mean=0.5, random_error_std=0.0,
                 oracle_error=0.0, secret_risk=0.6, cover_index=0, cover_id="c",
             )
+
+
+_POOL_KINDS = ("plain", "one_class", "duplicated", "scaled_up", "scaled_down",
+               "constant_column")
+
+
+@st.composite
+def _contract_runs(draw):
+    """A tiny run: a pool of 4-30 points in 1-3 features, of one of the
+    `_POOL_KINDS`, an 8-point secret set and test set, any m and solver."""
+    n = draw(st.integers(4, 30))
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(_POOL_KINDS))
+    gen = RngState(draw(st.integers(0, 2**32 - 1))).generator
+    X = gen.standard_normal((n, d))
+    y = gen.choice([-1, 1], n)
+    if kind == "one_class":
+        y[:] = y[0]
+    elif kind == "duplicated":  # a few distinct points, each repeated
+        rows = gen.integers(0, max(1, n // 4), n)
+        X, y = X[rows], y[rows]
+    elif kind == "scaled_up":
+        X *= 1e6
+    elif kind == "scaled_down":
+        X *= 1e-9
+    elif kind == "constant_column":
+        X[:, gen.integers(d)] = 0.5
+    secret, test = (gaussian_task(int(gen.integers(2**31)), 4, dim=d, role=role)
+                    for role in ("secret_set", "test_set"))
+    budget = SolverBudget(max_trainings=draw(st.integers(1, 40)),
+                          restarts=draw(st.integers(1, 2)),
+                          beam_width=draw(st.integers(1, 3)),
+                          neighbors_per_state=draw(st.integers(0, 3)))
+    return {"cover": make_dataset(X, y), "secret": secret, "secret_test": test,
+            "m": draw(st.integers(1, n)), "budget": budget,
+            "solver": draw(st.sampled_from(harness.SOLVERS))}
+
+
+class TestRunContract:
+    """Every run ends one of two ways: it writes a result.json that its
+    manifest replays byte for byte, or it raises StageError naming the
+    failed stage, whose cause is one of the library's own errors."""
+
+    @settings(deadline=None, max_examples=400,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_contract_runs())
+    def test_run_replays_or_fails_at_a_stage(self, run):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            paths = {}
+            for name in ("secret", "cover", "secret_test"):
+                paths[name] = str(tmp / f"{name}.csv")
+                save_dataset(run[name], paths[name])
+            cfg = replace(base_config(tmp, paths, solver=run["solver"]),
+                          m=run["m"], budget=run["budget"],
+                          selection_budget=4, random_trials=2)
+            try:
+                run_experiment(cfg)
+            except StageError as err:
+                assert isinstance(err.cause, (DataError, DetectorError,
+                                              SolverError, TrainingError)), err
+                manifest = json.loads((tmp / "out" / "manifest.json").read_text())
+                assert manifest["failed_stage"] == err.stage
+                return
+            rerun_from_manifest(tmp / "out" / "manifest.json", tmp / "replay")
+            assert (tmp / "out" / "result.json").read_bytes() == (
+                tmp / "replay" / "result.json").read_bytes()

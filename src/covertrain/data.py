@@ -206,6 +206,15 @@ def _infer_format(path: Path) -> str:
     raise DataError(f"cannot infer format from {path.name!r}")
 
 
+def _csv_rows(lines: list[str], name: str) -> list[list[str]]:
+    """The non-empty rows csv.reader makes of `lines`; DataError naming the
+    file on a csv.Error."""
+    try:
+        return [r for r in csv.reader(lines) if r]
+    except csv.Error as exc:
+        raise DataError(f"{name}: {exc}") from None
+
+
 def _plain_csv(lines: list[str], dim: int) -> tuple[np.ndarray, np.ndarray] | None:
     """X and y of the non-empty, unquoted body lines of a CSV file from one
     np.loadtxt call, or None when the row parser must decide: on any
@@ -237,8 +246,9 @@ def load_dataset(
     to {-1, +1}: numeric -1/+1 pass through, anything else needs an explicit
     label_map from class name to sign. `add_bias` appends a constant-1
     feature to every instance. A CSV file without quotes or a label map is
-    first read in one np.loadtxt call (`_plain_csv`); when that does not
-    give a valid table, the row parser reads it and names the failing row.
+    read in one np.loadtxt call (`_plain_csv`), and only its header goes
+    through csv.reader; when that call does not give a valid table, the row
+    parser reads the file and names the failing row.
     """
     path = Path(path)
     fmt = _infer_format(path)
@@ -251,10 +261,14 @@ def load_dataset(
 
     if fmt == "csv":
         lines = text.splitlines()
-        try:
-            table = [r for r in csv.reader(lines) if r]
-        except csv.Error as exc:
-            raise DataError(f"{path.name}: {exc}") from None
+        body = [ln for ln in lines if ln]
+        # Without quotes, csv.reader gives one row per non-empty line, and it
+        # fails only on a field longer than its size limit. So when no line
+        # is that long, only the header needs it, and the body may go to one
+        # np.loadtxt call; the row parser reads every line otherwise.
+        one_call = (label_map is None and '"' not in text
+                    and max(map(len, body), default=0) <= csv.field_size_limit())
+        table = _csv_rows(body[:1] if one_call else lines, path.name)
         if not table:
             raise DataError(f"{path.name}: empty dataset")
         header = [h.strip() for h in table[0]]
@@ -263,10 +277,11 @@ def load_dataset(
         dim = len(header) - 1
         if dim < 1:
             raise DataError(f"{path.name}: no feature columns")
-        # Without quotes, csv.reader gives one row per non-empty line.
-        if label_map is None and len(table) > 1 and '"' not in text:
-            plain = _plain_csv([ln for ln in lines if ln][1:], dim)
+        if one_call and len(body) > 1:
+            plain = _plain_csv(body[1:], dim)
         if plain is None:
+            if one_call:
+                table = _csv_rows(lines, path.name)
             for row_num, row in enumerate(table[1:], start=1):
                 where = f"{path.name} row {row_num}"
                 feats = _parse_features(row[:-1], dim, where)

@@ -116,6 +116,19 @@ def _kernels(A: np.ndarray, B: np.ndarray, scale: float,
     return np.exp(E, out=E)
 
 
+def _gram_buffer(rows: int, cols: int) -> np.ndarray:
+    """An uninitialised float64 (rows, cols) Gram matrix; DetectorError
+    before anything is allocated when it is larger than physical memory."""
+    needed = rows * cols * 8
+    available = _physical_memory()
+    if needed > available:
+        raise DetectorError(
+            f"{rows}x{cols} Gram matrix needs {needed} bytes, more than the "
+            f"{available} bytes of physical memory"
+        )
+    return np.empty((rows, cols))
+
+
 def gram(Z1: np.ndarray, Z2: np.ndarray, sigma: float) -> np.ndarray:
     """Kernel matrix between two point sets, shape (len(Z1), len(Z2)).
 
@@ -131,14 +144,7 @@ def gram(Z1: np.ndarray, Z2: np.ndarray, sigma: float) -> np.ndarray:
     Z1 = np.atleast_2d(Z1)
     Z2 = np.atleast_2d(Z2)
     rows, cols = Z1.shape[0], Z2.shape[0]
-    needed = rows * cols * 8
-    available = _physical_memory()
-    if needed > available:
-        raise DetectorError(
-            f"{rows}x{cols} Gram matrix needs {needed} bytes, more than the "
-            f"{available} bytes of physical memory"
-        )
-    K = np.empty((rows, cols))
+    K = _gram_buffer(rows, cols)
     scale = -2.0 * sigma * sigma
     _in_row_blocks(lambda lo, hi: _kernels(Z1[lo:hi], Z2, scale, out=K[lo:hi]),
                    np.full(rows, cols))
@@ -331,8 +337,8 @@ def _mmd_root(pool_term: float, cross: float, within: float) -> float:
     return math.sqrt(max(pool_term - 2.0 * cross + within, 0.0))
 
 
-def _row_sums(Z: np.ndarray, scale: float,
-              Zp: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def _row_sums(Z: np.ndarray, scale: float, Zp: np.ndarray | None = None,
+              K: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Row sums of the kernel matrix k(Z, Zp), Zp = Z when not given, and
     their total over n m (for Zp = Z, the weight-free first term of the MMD
     radicand).
@@ -352,6 +358,11 @@ def _row_sums(Z: np.ndarray, scale: float,
     depend on how `_in_row_blocks` spreads them over workers, and one tile
     gets the bits of k(Z, Zp).sum(axis=1). Every tile is computed
     (`_kernels`) into its task's buffer, so no n x m matrix is allocated.
+
+    When an n x n matrix K is given (Zp = Z), the pass also writes each tile
+    to K at (I, J) and, off the diagonal, its transpose at (J, I), so K ends
+    as the Gram matrix with `gram`'s bits and each kernel value is computed
+    once for both.
     """
     Zp = Z if Zp is None else Zp
     symmetric = Zp is Z
@@ -377,6 +388,10 @@ def _row_sums(Z: np.ndarray, scale: float,
             if rows[I] and cols[J]:
                 values = tile(Z, Zp, I, J)
                 np.sum(values, axis=1, out=parts[J, blocks[I]])
+                if K is not None:
+                    K[blocks[I], blocks[J]] = values
+                    if I != J:
+                        K[blocks[J], blocks[I]] = values.T
             if I != J and cols[I] and rows[J]:
                 if not symmetric:
                     values = tile(Zp, Z, I, J)
@@ -459,10 +474,11 @@ class PoolKernel:
     The pool's augmented points and row sums (`_row_sums`) are computed
     once and shared read-only. The Gram cap decides only how `_block`, the
     one reader of the stored matrix, reads a block: a pool whose n x n
-    float64 Gram matrix fits in `_GRAM_CAP_BYTES` stores it and gathers
-    every block; a larger pool computes each block, with the same bits. A
-    candidate's MMD costs O(m^2) kernel values, the weighted variant
-    O(|supp b|^2) and its gradient O(|supp b| n). All methods are pure.
+    float64 Gram matrix fits in `_GRAM_CAP_BYTES` stores it, filled by the
+    row-sum pass's own tiles, and gathers every block; a larger pool
+    computes each block, with the same bits. A candidate's MMD costs O(m^2)
+    kernel values, the weighted variant O(|supp b|^2) and its gradient
+    O(|supp b| n). All methods are pure.
     """
 
     def __init__(self, pool: Dataset, cfg: DetectorConfig):
@@ -473,10 +489,11 @@ class PoolKernel:
         self._scale = -2.0 * cfg.sigma * cfg.sigma
         self._K = None
         if 8 * self.n * self.n <= _GRAM_CAP_BYTES:
-            K = gram(self._Z, self._Z, cfg.sigma)
-            K.setflags(write=False)
-            self._K = K
-        self._row_sums, self._pool_term = _row_sums(self._Z, self._scale)
+            self._K = _gram_buffer(self.n, self.n)
+        self._row_sums, self._pool_term = _row_sums(self._Z, self._scale,
+                                                    K=self._K)
+        if self._K is not None:
+            self._K.setflags(write=False)
 
     def _block(self, rows: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """k(z_i, z_j) for i in `rows` and j in `cols` (index arrays; every

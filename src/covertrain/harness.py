@@ -40,6 +40,7 @@ from .solvers import (
     SolverBudget,
     SolverError,
     SolverReport,
+    nlp_least_trainings,
     solve_beam,
     solve_nlp,
     solve_uniform,
@@ -309,6 +310,15 @@ def run_experiment(
             if cfg.m > len(pool):
                 raise DataError(
                     f"m={cfg.m} exceeds pool size {len(pool)} ({cfg.cover_paths[i]})"
+                )
+        # Whichever pool wins, solve_nlp would reject a budget this small.
+        if cfg.solver == "nlp":
+            least = min(nlp_least_trainings(len(pool), cfg.m) for pool in covers)
+            if cfg.budget.max_trainings < least:
+                raise DataError(
+                    f"max_trainings={cfg.budget.max_trainings} is below the "
+                    f"{least} trainings the nlp solver needs on every cover "
+                    f"pool at m={cfg.m}"
                 )
         manifest["stages"]["load"] = {
             "secret_train": len(secret_train),

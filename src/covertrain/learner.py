@@ -11,6 +11,10 @@ theta_hat is unique and training is deterministic.
 
 Training is one damped Newton method, `train_batch`, on a batch of weighted
 training sets; `train` runs it on one row, so a subset gets the same bits.
+
+The logistic function is scipy.special's `expit`, imported where it is
+used: scipy.special loads on a process's first training (or loss gradient),
+not when covertrain is imported.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import DataError, Dataset, check_counts, plain_numbers
 
@@ -111,6 +114,8 @@ def instance_losses(theta: ModelParams, X: np.ndarray, y: np.ndarray) -> np.ndar
 def loss_gradients(theta: ModelParams, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-instance loss gradients w.r.t. theta, one row per instance:
     grad_i = -y_i * sigmoid(-y_i <theta, x_i>) * x_i."""
+    from scipy.special import expit
+
     p = expit(-_margins(theta.theta, X, y))
     return (-(y * p))[:, None] * X
 
@@ -192,6 +197,8 @@ def train_batch(
     cfg.tol drops out of the later steps, so it ends exactly where a batch of
     that row alone ends. Raises TrainingError carrying the largest residual
     if a row is above cfg.tol after cfg.max_iter steps."""
+    from scipy.special import expit
+
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)[:, :, None]
     w = (np.ones(y.shape) if weights is None
@@ -271,6 +278,8 @@ def risk_gradient_wrt_weights(
     the system is nonsingular. H is formed on the support of b, as `train`
     forms it; g has an entry for every pool row, zero weight or not.
     """
+    from scipy.special import expit
+
     X, y, b = _on_support(view)
     p = expit(-_margins(theta.theta, X, y))
     w = b * p * (1.0 - p)

@@ -587,6 +587,13 @@ def round_relaxed(
     )
 
 
+def nlp_least_trainings(n: int, m: int) -> int:
+    """The smallest max_trainings `solve_nlp` accepts for an m-subset of a
+    pool of n: one relaxed-phase training plus the one it reserves for each
+    of the min(m, n - m) + 1 rounding candidates."""
+    return min(m, n - m) + 2
+
+
 def solve_nlp(
     pool: Dataset,
     secret: Dataset,
@@ -605,9 +612,10 @@ def solve_nlp(
     relaxed-phase diagnostics.
     """
     scorer = _Scorer(pool, secret, m, cfg, det, kernel, budget.wall_clock_limit)
-    reserve = min(m, len(pool) - m) + 1  # = len(rounding_candidates(...))
+    least = nlp_least_trainings(len(pool), m)
+    reserve = least - 1  # = len(rounding_candidates(...))
     cap = budget.max_trainings
-    if cap < reserve + 1:
+    if cap < least:
         raise SolverError(
             f"max_trainings={cap} cannot cover the relaxed phase plus "
             f"{reserve} rounding evaluations"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -348,6 +349,33 @@ def test_saved_csv_takes_the_one_call_path(tmp_path):
     with mock.patch.object(data, "_parse_features", side_effect=AssertionError):
         back = load_dataset(path)
     assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
+
+
+def test_saved_csv_passes_only_its_header_to_csv_reader(tmp_path):
+    ds = gaussian_task(6, 30)
+    path = tmp_path / "pool.csv"
+    save_dataset(ds, path)
+    seen = []
+    reader = csv.reader
+
+    def recording(lines, *args, **kwargs):
+        lines = list(lines)
+        seen.append(lines)
+        return reader(lines, *args, **kwargs)
+
+    with mock.patch.object(data.csv, "reader", recording):
+        back = load_dataset(path)
+    assert seen == [[path.read_text(encoding="utf-8").splitlines()[0]]]
+    assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
+
+
+def test_field_over_csv_size_limit_raises(tmp_path):
+    # np.loadtxt reads the long token as 1.0; csv.reader rejects the field
+    path = tmp_path / "long.csv"
+    limit = csv.field_size_limit()
+    path.write_text(f"f0,label\n0.5,1\n{'0' * limit}1,-1\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"^long.csv: field larger than field limit \({limit}\)$"):
+        load_dataset(path)
 
 
 class TestSplit:

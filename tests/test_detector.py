@@ -464,6 +464,35 @@ class TestGramMemoryGuard:
         assert detect(pool, sample, cfg) == unlimited
 
 
+@pytest.mark.parametrize("side", [200, 7])
+def test_stored_kernel_computes_each_value_once(side):
+    # one tile of the n = 200 pool, or blocks of 7 points whose 435 tiles
+    # (I, J) with I <= J spread over 3 workers
+    pool = gaussian_task(64, 100)
+    n = len(pool)
+    cfg = DetectorConfig.from_pool(pool)
+    Z = augment(pool.X, pool.y, cfg.label_scale_c)
+    computed = []
+    kernels = detector._kernels
+
+    def counting(A, B, scale, out=None):
+        computed.append(A.shape[0] * B.shape[0])
+        return kernels(A, B, scale, out=out)
+
+    sizes = [min(side, n - first) for first in range(0, n, side)]
+    with mock.patch.object(detector, "_kernels", counting), \
+            mock.patch.object(detector, "_CHUNK_BYTES", 8 * side * side), \
+            mock.patch.object(detector, "_WORKERS", 3), \
+            mock.patch.object(detector, "_TASK_ENTRIES", 1):
+        kernel = PoolKernel(pool, cfg)
+        # the tiles (I, J) with I <= J, each once
+        assert sum(computed) == (n * n + sum(r * r for r in sizes)) // 2
+        row_sums = detector._row_sums(Z, kernel._scale)[0]
+    assert np.array_equal(kernel._row_sums, row_sums)
+    assert not kernel._K.flags.writeable
+    assert np.array_equal(kernel._K, gram(Z, Z, cfg.sigma))
+
+
 def test_import_leaves_scipy_spatial_unloaded():
     # the detector imports its distance functions on first use
     code = "import sys, covertrain; print('scipy.spatial' in sys.modules)"

@@ -392,6 +392,34 @@ class TestRunExperiment:
         manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
         assert manifest["failed_stage"] == "load"
 
+    def test_nlp_budget_below_rounding_fails_at_load(self, tmp_path):
+        # m = 8 of a 30-point pool: one relaxed-phase training and 9 rounding
+        # candidates, so solve_nlp needs 10
+        paths = write_task_files(tmp_path)
+        cfg = base_config(tmp_path, paths, solver="nlp")
+        cfg = replace(cfg, budget=replace(cfg.budget, max_trainings=9))
+        with pytest.raises(StageError) as err:
+            run_experiment(cfg)
+        assert err.value.stage == "load"
+        assert isinstance(err.value.cause, DataError)
+        assert str(err.value.cause) == (
+            "max_trainings=9 is below the 10 trainings the nlp solver needs "
+            "on every cover pool at m=8")
+        manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "load"
+
+    def test_nlp_budget_that_fits_one_pool_passes_load(self, tmp_path):
+        # a 9-point second pool needs min(8, 1) + 2 = 3 trainings, so the
+        # winning pool decides; here the small one wins and the run completes
+        paths = write_task_files(tmp_path)
+        small = tmp_path / "small.csv"
+        save_dataset(load_dataset(paths["cover"]).subset(range(9)), small)
+        cfg = base_config(tmp_path, paths, solver="nlp")
+        cfg = replace(cfg, cover_paths=(paths["cover"], str(small)),
+                      budget=replace(cfg.budget, max_trainings=9))
+        row, _ = run_experiment(cfg)
+        assert row.cover_index == 1
+
     def test_constant_feature_pool_fails_at_select_cover(self, tmp_path):
         paths = write_task_files(tmp_path)
         cover = load_dataset(paths["cover"])

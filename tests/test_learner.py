@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,3 +423,17 @@ class TestRiskGradient:
             view, learner_cfg, secret, theta=train(view, learner_cfg)
         )
         assert grad[0] == pytest.approx(grad[1], rel=1e-12)
+
+
+
+@pytest.mark.parametrize("module", ["covertrain", "covertrain.cli"])
+def test_import_loads_no_scipy(module):
+    # the learner imports expit, and the detector its distance functions,
+    # on first use
+    code = (f"import json, sys, {module}\n"
+            "print(json.dumps([m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(learner.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == []

@@ -115,7 +115,9 @@ class CandidateSet:
 
     Indices are strictly increasing, so two CandidateSets describe the same
     subset iff they compare equal. Cached values, when present, must equal
-    fresh recomputation.
+    fresh recomputation. A one-dimensional integer ndarray (what
+    `sample_subset` draws) converts in one `tolist` call; any other
+    iterable converts item by item with `int`.
     """
 
     indices: tuple[int, ...]
@@ -123,11 +125,17 @@ class CandidateSet:
     cached_psi: float | None = None
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        raw = self.indices
+        if isinstance(raw, np.ndarray) and raw.ndim == 1 and raw.dtype.kind in "iu":
+            idx = tuple(raw.tolist())
+        else:
+            idx = tuple(int(i) for i in raw)
         object.__setattr__(self, "indices", idx)
-        if any(i < 0 for i in idx):
+        # an increasing tuple's least index is its first
+        increasing = all(map(operator.lt, idx, idx[1:]))
+        if idx and (idx[0] if increasing else min(idx)) < 0:
             raise DataError("negative candidate index")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
+        if not increasing:
             raise DataError("candidate indices must be strictly increasing")
 
     def __len__(self) -> int:

@@ -113,6 +113,44 @@ class TestCandidateSet:
         with pytest.raises(DataError):
             CandidateSet((5, 3))
 
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.integers(-3, 40), max_size=12),
+           form=st.sampled_from(["tuple", "list", "int64", "int32", "uint16",
+                                 "bool", "float", "scalars"]))
+    def test_equals_itemwise_constructor(self, values, form):
+        """The old constructor, kept as the oracle: int() of each item, then
+        the negative check over all of them before the order check."""
+        def oracle(indices):
+            idx = tuple(int(i) for i in indices)
+            if any(i < 0 for i in idx):
+                raise DataError("negative candidate index")
+            if any(a >= b for a, b in zip(idx, idx[1:])):
+                raise DataError("candidate indices must be strictly increasing")
+            return idx
+
+        if form == "uint16":
+            values = [abs(v) for v in values]
+        indices = {
+            "tuple": lambda: tuple(values), "list": lambda: list(values),
+            "int64": lambda: np.array(values, dtype=np.int64),
+            "int32": lambda: np.array(values, dtype=np.int32),
+            "uint16": lambda: np.array(values, dtype=np.uint16),
+            "bool": lambda: np.array(values, dtype=bool),
+            "float": lambda: [v + 0.5 for v in values],
+            "scalars": lambda: list(np.array(values, dtype=np.int64)),
+        }[form]()
+
+        def outcome(make):
+            try:
+                return make(indices)
+            except DataError as exc:
+                return str(exc)
+
+        got = outcome(lambda i: CandidateSet(i).indices)
+        assert got == outcome(oracle)
+        if isinstance(got, tuple):
+            assert all(type(i) is int for i in got)
+
     def test_cache_attachment(self):
         c = CandidateSet((0, 2), cached_risk=0.5, cached_psi=-1.0)
         assert c.cached_risk == 0.5

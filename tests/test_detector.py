@@ -457,7 +457,8 @@ class TestGramMemoryGuard:
         sample = pool.subset(range(5))
         unlimited = detect(pool, sample, cfg)
         monkeypatch.setattr(detector, "_physical_memory", lambda: 1000)
-        # a kernel that stores its Gram matrix builds it through gram
+        # a kernel that stores its Gram matrix allocates it through
+        # _gram_buffer, the memory guard, before _row_sums fills it
         with dense_kernels(), pytest.raises(DetectorError, match="20x20"):
             PoolKernel(pool, cfg)
         # detect sums its kernel values in tiles and allocates no n x n matrix

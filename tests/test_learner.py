@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -363,6 +364,140 @@ class TestTrainBatch:
         with pytest.raises(TrainingError) as err:
             learner.train_batch(X, y, cfg)
         assert err.value.residual is not None and err.value.residual > 1e-14
+
+
+def reference_train_batch(X, y, cfg, weights=None):
+    """`train_batch` before the Newton loop called the solve gufunc directly
+    and negated the features by their labels once: `np.linalg.solve` at each
+    step and margins ny * (X @ t). Kept as the oracle for its bits."""
+    from scipy.special import expit
+
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)[:, :, None]
+    w = (np.ones(y.shape) if weights is None
+         else np.asarray(weights, dtype=np.float64)[:, :, None])
+    lam, tol = cfg.lam, cfg.tol
+    ridge = lam * np.eye(X.shape[2])
+    out = np.zeros((X.shape[0], X.shape[2], 1))
+    rows = np.arange(X.shape[0])
+
+    def state(t):
+        p = expit(ny * (X @ t))
+        grad = Xt @ (nwy * p) + lam * t
+        return p, grad, np.sqrt(np.add.reduce(grad * grad, axis=1)).ravel().tolist()
+
+    Xt, ny, nwy = X.transpose(0, 2, 1), -y, -(w * y)
+    theta = out
+    p, grad, residual = state(theta)
+    for step in range(cfg.max_iter + 1):
+        live = [k for k, r in enumerate(residual) if not r <= tol]
+        if not live or len(live) < rows.size:
+            out[rows] = theta
+            if not live:
+                return out[:, :, 0]
+            rows, X, y, w, theta, p, grad = (
+                a[live] for a in (rows, X, y, w, theta, p, grad))
+            residual = [residual[k] for k in live]
+            Xt, ny, nwy = X.transpose(0, 2, 1), -y, -(w * y)
+        if step == cfg.max_iter:
+            break
+        hess = (X * (w * p * (1.0 - p))).transpose(0, 2, 1) @ X + ridge
+        direction = np.linalg.solve(hess, grad)
+        cand = theta - direction
+        cand_state = state(cand)
+        damped = [k for k, (r, c) in enumerate(zip(residual, cand_state[2]))
+                  if not c < r]
+        for k in damped:
+            cand[k, :, 0] = learner._backtrack(
+                theta[k, :, 0], direction[k, :, 0], grad[k, :, 0], X[k],
+                y[k, :, 0], w[k, :, 0], lam)
+        if damped:
+            cand_state = state(cand)
+        theta, (p, grad, residual) = cand, cand_state
+    raise TrainingError("no convergence")
+
+
+class TestNewtonSolve:
+    """The Newton loop solves each system with the gufunc behind
+    `np.linalg.solve`, and so keeps its bits; a singular system raises
+    TrainingError."""
+
+    @pytest.mark.parametrize("B", [1, 7])
+    @pytest.mark.parametrize("d", [1, 2, 3, 20])
+    def test_solve_has_linalg_bits(self, B, d):
+        gen = RngState(100 * B + d).generator
+        for _ in range(20):
+            M = gen.standard_normal((B, d, d))
+            A = M @ M.transpose(0, 2, 1) + gen.uniform(1e-3, 1.0) * np.eye(d)
+            b = gen.standard_normal((B, d, 1))
+            got = learner._solve(A, b, signature="dd->d")
+            assert got.dtype == np.float64 and got.shape == (B, d, 1)
+            assert got.tobytes() == np.linalg.solve(A, b).tobytes()
+
+    def test_training_solves_without_the_wrapper(self, monkeypatch):
+        # every Newton system train_batch solves, damped rows included, gets
+        # np.linalg.solve's bits, and the wrapper itself is never called
+        systems = []
+        solve = learner._solve
+
+        def recorded(hess, grad, **kwargs):
+            out = solve(hess, grad, **kwargs)
+            systems.append((hess.copy(), grad.copy(), out.copy()))
+            return out
+
+        def wrapper(*args, **kwargs):
+            raise AssertionError("train_batch called np.linalg.solve")
+
+        X_damped, y_damped, cfg = damped_instance()
+        X = np.stack([X_damped, RngState(30).generator.standard_normal((6, 3))])
+        y = np.stack([y_damped, y_damped])
+        monkeypatch.setattr(learner, "_solve", recorded)
+        monkeypatch.setattr(np.linalg, "solve", wrapper)
+        learner.train_batch(X, y, cfg, np.stack([DAMPED_WEIGHTS, np.ones(6)]))
+        monkeypatch.undo()
+        assert len(systems) > 1
+        for hess, grad, out in systems:
+            assert out.tobytes() == np.linalg.solve(hess, grad).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_train_batch_has_reference_bits(self, data):
+        B, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
+        d = data.draw(st.sampled_from([1, 2, 3, 20]))
+        X = data.draw(arrays(np.float64, (B, m, d), elements=st.floats(-50.0, 50.0)))
+        y = data.draw(arrays(np.int64, (B, m), elements=st.sampled_from([-1, 1])))
+        weights = data.draw(st.one_of(st.none(), arrays(
+            np.float64, (B, m), elements=st.floats(0.05, 1.0))))
+        cfg = LearnerConfig(lam=data.draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0])))
+        try:
+            want = reference_train_batch(X, y, cfg, weights)
+        except TrainingError:
+            with pytest.raises(TrainingError):
+                learner.train_batch(X, y, cfg, weights)
+            return
+        assert learner.train_batch(X, y, cfg, weights).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ambient", ["warn", "ignore", "raise"])
+    def test_singular_system_raises_training_error(self, ambient):
+        # two copies of x = (1, 1): at theta = 0 the loss Hessian is
+        # [[0.5, 0.5], [0.5, 0.5]], and lam = 1e-20 rounds away when added,
+        # so the Newton system is exactly singular although lam > 0. The
+        # outcome does not depend on numpy's error state or the warning
+        # filters outside, and a batch holding such a row fails whole
+        pool = make_dataset([[1.0, 1.0], [1.0, 1.0]], [1, 1])
+        cfg = LearnerConfig(lam=1e-20)
+        X = np.stack([pool.X, [[1.0, 0.5], [-1.0, 2.0]]])
+        y = np.stack([pool.y, [1, -1]])
+        before = np.geterr()
+        with warnings.catch_warnings(), np.errstate(invalid=ambient):
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match="singular") as alone:
+                train(ones_view(pool), cfg)
+            with pytest.raises(TrainingError, match="singular") as batch:
+                learner.train_batch(X, y, cfg)
+            assert np.geterr()["invalid"] == ambient
+        assert alone.value.residual is None and batch.value.residual is None
+        assert np.geterr() == before
 
 
 class TestPredictError:

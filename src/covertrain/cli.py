@@ -47,15 +47,18 @@ def mmd_test_cmd(pool_path, candidate_path, alpha, label_map_json):
 
     The kernel bandwidth and label scale are calibrated on the pool only.
     Exits 0 when the candidate passes, 1 when the detector flags it and 2 on
-    bad input (a malformed file, a degenerate pool, differing feature
-    counts), after one `Error: ...` line on stderr.
+    bad input (a malformed file or label map, a degenerate pool, differing
+    feature counts), after one `Error: ...` line on stderr.
     """
-    label_map = json.loads(label_map_json) if label_map_json else None
     try:
+        label_map = json.loads(label_map_json) if label_map_json else None
         pool = load_dataset(pool_path, label_map=label_map, role="camouflage_pool")
         cand = load_dataset(candidate_path, label_map=label_map, role="test_set")
         cfg = DetectorConfig.from_pool(pool, alpha=alpha)
         verdict = detect(pool, cand, cfg)
+    except json.JSONDecodeError as exc:
+        click.echo(f"Error: --label-map is not JSON: {exc}", err=True)
+        sys.exit(2)
     except (DataError, DetectorError) as exc:
         click.echo(f"Error: {exc}", err=True)
         sys.exit(2)

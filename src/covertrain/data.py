@@ -167,17 +167,31 @@ class RngState:
         return f"RngState(seed={self.seed})"
 
 
+def checked_label_map(label_map) -> dict:
+    """The label-map rule of `load_dataset` and ExperimentConfig: a copy of
+    `label_map` with its values as Python ints; DataError if it is not a
+    mapping, a key is not a string (file labels are matched as text) or a
+    value is not an integer (numpy integers pass)."""
+    if not isinstance(label_map, dict):
+        raise DataError(f"label_map must be an object, got {label_map!r}")
+    for key, value in label_map.items():
+        if not isinstance(key, str):
+            raise DataError(f"label_map key {key!r} must be a string")
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DataError(f"label_map value for {key!r} must be an integer, "
+                            f"got {value!r}")
+    return {key: int(value) for key, value in label_map.items()}
+
+
 def _parse_label(raw, label_map, where: str) -> int:
     if label_map is not None:
         key = str(raw).strip()
-        if key in label_map:
-            value = int(label_map[key])
-            if value not in (-1, 1):
-                raise DataError(
-                    f"label_map must map to -1 or +1, got {value} for {key!r}"
-                )
-            return value
-        raise DataError(f"{where}: label {raw!r} not in label map")
+        if key not in label_map:
+            raise DataError(f"{where}: label {raw!r} not in label map")
+        value = label_map[key]
+        if value not in (-1, 1):
+            raise DataError(f"label_map must map to -1 or +1, got {value} for {key!r}")
+        return value
     if isinstance(raw, bool):
         raise DataError(f"{where}: boolean label {raw!r} requires a label map")
     try:
@@ -252,14 +266,15 @@ def load_dataset(
 
     Row order in the file is the dataset's instance order. Labels are mapped
     to {-1, +1}: numeric -1/+1 pass through, anything else needs an explicit
-    label_map from class name to sign. `add_bias` appends a constant-1
-    feature to every instance. A CSV file without quotes or a label map is
-    read in one np.loadtxt call (`_plain_csv`), and only its header goes
-    through csv.reader; when that call does not give a valid table, the row
-    parser reads the file and names the failing row.
+    label_map from class name to sign (`checked_label_map`). `add_bias`
+    appends a constant-1 feature to every instance. A CSV file without
+    quotes or a label map is read in one np.loadtxt call (`_plain_csv`), and
+    only its header goes through csv.reader; when that call does not give a
+    valid table, the row parser reads the file and names the failing row.
     """
     path = Path(path)
     fmt = _infer_format(path)
+    label_map = None if label_map is None else checked_label_map(label_map)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -21,6 +21,7 @@ from .data import (
     Dataset,
     RngState,
     check_counts,
+    checked_label_map,
     load_dataset,
     plain_numbers,
     sample_subset,
@@ -96,7 +97,7 @@ class ExperimentConfig:
         if not isinstance(self.add_bias, bool):
             raise DataError(f"add_bias must be true or false, got {self.add_bias!r}")
         if self.label_map is not None:
-            object.__setattr__(self, "label_map", _checked_label_map(self.label_map))
+            object.__setattr__(self, "label_map", checked_label_map(self.label_map))
 
     def to_dict(self) -> dict:
         return {_CONFIG_KEYS.get(k, k): v for k, v in asdict(self).items()}
@@ -114,21 +115,6 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def _checked_label_map(label_map) -> dict:
-    """A copy of `label_map` with its values as Python ints; DataError if it
-    is not a mapping, a key is not a string (file labels are matched as
-    text) or a value is not an integer (numpy integers pass)."""
-    if not isinstance(label_map, dict):
-        raise DataError(f"label_map must be an object, got {label_map!r}")
-    for key, value in label_map.items():
-        if not isinstance(key, str):
-            raise DataError(f"label_map key {key!r} must be a string")
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DataError(f"label_map value for {key!r} must be an integer, "
-                            f"got {value!r}")
-    return {key: int(value) for key, value in label_map.items()}
 
 
 def _fields_from(cls, obj, keys: dict) -> dict:

@@ -113,9 +113,11 @@ def subset_weights(n: int, indices) -> np.ndarray:
     return b
 
 
-# The gufunc np.linalg.solve dispatches to for float64 stacks, resolved once;
-# `train_batch` calls it with signature "dd->d", as the wrapper does.
+# The gufuncs np.linalg.solve dispatches to for float64 systems, resolved
+# once: `_solve` for stacked columns, `_solve1` for one vector. Both are
+# called with signature "dd->d", as the wrapper calls them.
 _solve = _umath_linalg.solve
+_solve1 = _umath_linalg.solve1
 
 
 def _margins(theta_vec: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -201,10 +203,8 @@ def train(view: WeightedTrainingView, cfg: LearnerConfig) -> ModelParams:
     return ModelParams(train_batch(X[None], y[None], cfg, b[None])[0])
 
 
-def _invalid_newton_step(err, flag):
-    raise TrainingError(
-        "invalid value in a Newton step: the Newton system is singular or "
-        "not finite")
+def _invalid_system(err, flag):
+    raise TrainingError("the Newton or sensitivity system is singular or not finite")
 
 
 def train_batch(
@@ -252,7 +252,7 @@ def train_batch(
         # Python floats, on which the per-row tests below are cheapest
         return p, grad, np.sqrt(np.add.reduce(grad * grad, axis=1)).ravel().tolist()
 
-    with np.errstate(invalid="call", call=_invalid_newton_step):
+    with np.errstate(invalid="call", call=_invalid_system):
         Xt, nyX, nwy = X.transpose(0, 2, 1), -y * X, -(w * y)
         theta = out  # zero: out holds zeros until a row is done
         p, grad, residual = state(theta)
@@ -311,9 +311,10 @@ def risk_gradient_wrt_weights(
     Differentiates through the stationarity condition
     sum_i b_i grad_loss_i(theta_hat) + lam * theta_hat = 0: solve
     (H + lam I) u = -grad_theta(secret risk) with H the weighted loss
-    Hessian, then g_i = <u, grad_loss_i(theta_hat)>. Requires lam > 0 so
-    the system is nonsingular. H is formed on the support of b, as `train`
-    forms it; g has an entry for every pool row, zero weight or not.
+    Hessian, then g_i = <u, grad_loss_i(theta_hat)>. H is formed on the
+    support of b, as `train` forms it; g has an entry for every pool row,
+    zero weight or not. A singular or non-finite system raises
+    TrainingError, as a Newton system does in `train_batch`.
     """
     from scipy.special import expit
 
@@ -323,8 +324,6 @@ def risk_gradient_wrt_weights(
     hess = (X.T * w) @ X + cfg.lam * np.eye(X.shape[1])
 
     secret_grad = np.mean(loss_gradients(theta, secret.X, secret.y), axis=0)
-    try:
-        u = np.linalg.solve(hess, -secret_grad)
-    except np.linalg.LinAlgError as exc:
-        raise TrainingError(f"sensitivity system is singular: {exc}") from exc
+    with np.errstate(invalid="call", call=_invalid_system):
+        u = _solve1(hess, -secret_grad, signature="dd->d")
     return loss_gradients(theta, view.pool.X, view.pool.y) @ u

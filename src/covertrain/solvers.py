@@ -6,20 +6,18 @@ m-element pool subset, subject to the subset passing the detector
 checks and rejected proposals are free but capped to prevent livelock.
 All three take the run's SolverBudget (NlpOptions is another name for it;
 solve_nlp reads only its two limits). Each run holds its instance and
-accounting in one _Scorer, which makes every detector check and counts
-every rejection; solve_nlp runs the relaxation and then the rounding sweep
-on it, reserving one training per rounding candidate so the sweep always
-fits the budget. Uniform search and the rounding sweep know their subsets
-before any risk, so they train them in batches (train_subsets, as the
-harness's random baseline does). Beam search trains one subset at a time
-and the relaxation one weight vector at a time, both through `train` on a
-WeightedTrainingView of the pool, whose 0/1 weights select a subset
-without copying it. `train` is `train_batch` on one row and every risk is
-`empirical_risk`, so a report's cached risk is a fresh recomputation, to
-the bit. When the wall-clock limit passes, uniform and beam search stop.
-Every run reports the best subset it scored; a run that scored none raises
-SolverError (_finalize), naming the deadline if it has passed and the
-number of draws otherwise.
+accounting in one _Scorer, which makes every detector check, counts every
+rejection and scores every candidate with one call: uniform search and the
+rounding sweep batch their subsets (`risk_many`, through train_subsets),
+beam search scores each frontier, its initial draws included, with
+`risk_each`, and the relaxation each iterate's WeightedTrainingView with
+`risk_weighted`. solve_nlp reserves one training per rounding candidate, so
+the sweep always fits the budget. `train` is `train_batch` on one row and
+every risk is `empirical_risk`, so a report's cached risk is a fresh
+recomputation, to the bit. When the wall-clock limit passes, uniform and
+beam search stop. Every run reports the best subset it scored; a run that
+scored none raises SolverError (_finalize), naming the deadline if it has
+passed and the number of draws otherwise.
 
 Strict detector feasibility psi < 0 is implemented as psi <= -1e-9
 (FEASIBILITY_SLACK) for numerical stability.
@@ -162,8 +160,9 @@ class SolverReport:
 @dataclass(frozen=True)
 class RelaxedSolution:
     """Output of the continuous relaxation: fractional membership weights b
-    with sum(b) = m, the learner trained on them, and the residuals that
-    certify the two constraints."""
+    with sum(b) = m (the best iterate's view weights, so read-only), the
+    learner trained on them, and the residuals that certify the two
+    constraints."""
 
     b: np.ndarray
     theta: ModelParams
@@ -176,14 +175,13 @@ NlpOptions = SolverBudget  # solve_nlp reads only the two limits
 
 class _Scorer:
     """One solver run: its instance (the pool's kernel is built from `det`
-    when none is given) and its accounting. Trains the learner on pool
-    m-subsets, one at a time as 0/1 weights on the pool (`risk`, which
-    shares `risk_weighted` with the relaxation) or gathered in batches
-    (`risk_many`), and scores secret-set risk, charging one training each
-    once it has succeeded; audits
-    subsets against the detector, counting rejections; counts random draws;
-    holds the deadline. Keeps the lowest-risk subset scored so far and the
-    trajectory of (trainings, best risk) at each improvement."""
+    when none is given) and its accounting. Scores secret-set risk, charging
+    one training per candidate once it has succeeded: subsets one at a time
+    on their 0/1 views (`risk_each`), subsets in batches (`risk_many`) or a
+    relaxation iterate's view (`risk_weighted`). Audits subsets against the
+    detector, counting rejections; counts random draws; holds the deadline.
+    Keeps the lowest-risk subset scored so far and the trajectory of
+    (trainings, best risk) at each improvement."""
 
     def __init__(self, pool: Dataset, secret: Dataset, m: int, cfg: LearnerConfig,
                  det: DetectorConfig, kernel: PoolKernel | None,
@@ -247,10 +245,20 @@ class _Scorer:
             self.best_risk = risk
             self.trajectory.append((self.trainings, risk))
 
-    def risk(self, indices: tuple[int, ...]) -> float:
-        risk = self.risk_weighted(subset_weights(len(self.pool), indices))[0]
-        self._record(indices, risk)
-        return risk
+    def risk_each(self, subsets: list[tuple[int, ...]],
+                  cap: int) -> list[tuple[float, tuple[int, ...]]]:
+        """Score `subsets` in order, each by one `train` on its 0/1 view of
+        the pool, charging and recording each; stops before a training once
+        `spent(cap)` holds. Returns the (risk, subset) pairs it scored."""
+        scored = []
+        for indices in subsets:
+            if self.spent(cap):
+                break
+            risk = self.risk_weighted(WeightedTrainingView(
+                self.pool, subset_weights(len(self.pool), indices)))[0]
+            self._record(indices, risk)
+            scored.append((risk, indices))
+        return scored
 
     def risk_many(self, batch: list[tuple[int, ...]]) -> None:
         """Score every subset of `batch`, charging one training each, by
@@ -261,10 +269,10 @@ class _Scorer:
                 self.trainings += 1
                 self._record(indices, float(risk))
 
-    def risk_weighted(self, b: np.ndarray) -> tuple[float, ModelParams]:
-        """Train on the pool weighted by b, charging the training once it
-        has succeeded, and score the model's secret-set risk."""
-        theta = train(WeightedTrainingView(self.pool, b), self.cfg)
+    def risk_weighted(self, view: WeightedTrainingView) -> tuple[float, ModelParams]:
+        """Train on the view, charging the training once it has succeeded,
+        and score the model's secret-set risk."""
+        theta = train(view, self.cfg)
         self.trainings += 1
         return empirical_risk(theta, self.secret), theta
 
@@ -383,50 +391,36 @@ def solve_beam(
 ) -> SolverReport:
     """Width-w beam search over single-swap neighbors, with random restarts.
 
-    Each restart seeds the beam with w random feasible subsets, then
-    repeatedly expands a random neighbor sample per beam state and keeps the
-    w lowest-risk states, until the restart's share of the training budget
-    is spent. States already evaluated within a restart are never retrained.
-    The initial draws of all restarts share one cap of 10 * max(B, w). A
-    restart whose draws keep fewer than w feasible subsets searches from
-    those it has; one that scores none (its share of the budget is zero,
-    the deadline or the draw cap has passed or no draw was feasible) moves
-    on to the next.
-    The wall-clock limit is checked before each draw and each neighbor's
-    training; once it passes, no further subset is scored.
+    Each restart's first frontier is up to w random feasible subsets. Each
+    frontier is scored (`_Scorer.risk_each`), the beam keeps the w
+    lowest-risk states scored so far, and the beam's unevaluated neighbors,
+    in first-proposed order, form the next frontier, until the restart's
+    share of the training budget is spent or no new neighbor is found. A
+    state drawn or proposed within a restart is never retrained. The
+    initial draws of all restarts share one cap of 10 * max(B, w); a
+    restart that keeps no feasible draw moves on to the next. The
+    wall-clock limit is checked before each draw and each training; once it
+    passes, no further subset is scored.
     """
     scorer = _Scorer(pool, secret, m, cfg, det, kernel, budget.wall_clock_limit)
-    w = budget.beam_width
+    w, k = budget.beam_width, budget.neighbors_per_state
     # one cap on the initial draws of all restarts together
     init_cap = DRAW_CAP_FACTOR * max(budget.max_trainings, w)
 
     for r in range(budget.restarts):
         budget_end = scorer.trainings + budget.per_restart(r)
-        batch = scorer.draw(rng, init_cap - scorer.draws,
-                            min(w, budget_end - scorer.trainings), set())
-        evaluated = {idx: scorer.risk(idx) for idx in batch}
-        if not evaluated:
-            continue
-        beam = sorted((risk, idx) for idx, risk in evaluated.items())
-
-        while not scorer.spent(budget_end):
-            # unevaluated neighbors in first-proposed order
-            fresh: dict[tuple[int, ...], None] = {}
-            for _, idx in beam:
-                for nb in neighbors(idx, scorer, budget.neighbors_per_state, rng):
-                    if nb not in evaluated:
-                        fresh[nb] = None
-            if not fresh:
-                break  # nothing new reachable from this beam
-            union = list(beam)
-            for idx in fresh:
-                if scorer.spent(budget_end):
-                    break
-                risk = scorer.risk(idx)
-                evaluated[idx] = risk
-                union.append((risk, idx))
-            union.sort()
-            beam = union[:w]
+        evaluated: set[tuple[int, ...]] = set()
+        frontier = scorer.draw(rng, init_cap - scorer.draws,
+                               min(w, budget_end - scorer.trainings), evaluated)
+        beam: list[tuple[float, tuple[int, ...]]] = []
+        while frontier:
+            beam = sorted(beam + scorer.risk_each(frontier, budget_end))[:w]
+            if scorer.spent(budget_end):
+                break
+            frontier = list(dict.fromkeys(
+                nb for _, idx in beam for nb in neighbors(idx, scorer, k, rng)
+                if nb not in evaluated))
+            evaluated.update(frontier)
 
     return _finalize(scorer, "beam", rng.seed)
 
@@ -476,9 +470,11 @@ def solve_relaxed(
     Projected gradient with backtracking, inside a quadratic-penalty outer
     loop on the detector constraint; the sum constraint is enforced by
     projection and learner stationarity exactly, by retraining at every
-    iterate. Descent contract: the returned b is never worse (in true
-    objective) than the feasible seed indicator it starts from. Runs on the
-    scorer's instance and deadline; `cap` caps the trainings it has charged.
+    iterate, each one WeightedTrainingView that is trained, differentiated
+    and, if best, checked for stationarity: one view per charged training.
+    Descent contract: the returned b is never worse (in true objective)
+    than the feasible seed indicator it starts from. Runs on the scorer's
+    instance and deadline; `cap` caps the trainings it has charged.
     """
     pool, secret, m, cfg = scorer.pool, scorer.secret, scorer.m, scorer.cfg
     kernel = scorer.kernel
@@ -492,11 +488,10 @@ def solve_relaxed(
     if not scorer.feasible(seed_set.indices):
         raise SolverError("seed set fails the detector")
 
-    b = subset_weights(len(pool), seed_set.indices)
-
-    risk, theta = scorer.risk_weighted(b)
-    psi_b = kernel.weighted(b) - threshold
-    best_b, best_risk, best_theta, best_psi = b.copy(), risk, theta, psi_b
+    view = WeightedTrainingView(pool, subset_weights(len(pool), seed_set.indices))
+    risk, theta = scorer.risk_weighted(view)
+    psi_b = kernel.weighted(view.weights) - threshold
+    best, best_risk, best_theta, best_psi = view, risk, theta, psi_b
 
     def penalty(psi_b: float, rho: float) -> float:
         violation = max(psi_b + FEASIBILITY_SLACK, 0.0)
@@ -509,7 +504,7 @@ def solve_relaxed(
         for _ in range(INNER_STEPS):
             if scorer.spent(cap):
                 break
-            view = WeightedTrainingView(pool, b)
+            b = view.weights
             grad = risk_gradient_wrt_weights(view, cfg, secret, theta=theta)
             violation = max(psi_b + FEASIBILITY_SLACK, 0.0)
             if violation > 0.0:
@@ -520,15 +515,16 @@ def solve_relaxed(
                 b_new = project_capped_simplex(b - eta * grad, float(m))
                 if float(np.abs(b_new - b).max()) <= STEP_TOL:
                     break
-                risk_new, theta_new = scorer.risk_weighted(b_new)
+                view_new = WeightedTrainingView(pool, b_new)
+                risk_new, theta_new = scorer.risk_weighted(view_new)
                 psi_new = kernel.weighted(b_new) - threshold
                 obj_new = risk_new + penalty(psi_new, rho)
                 if obj_new <= obj - 1e-4 * float(np.sum((b_new - b) ** 2)) / eta:
-                    b, risk, theta, psi_b, obj = b_new, risk_new, theta_new, psi_new, obj_new
+                    view, risk, theta, psi_b, obj = (
+                        view_new, risk_new, theta_new, psi_new, obj_new)
                     moved = True
                     if psi_b <= -FEASIBILITY_SLACK and risk < best_risk:
-                        best_b, best_risk, best_theta = b.copy(), risk, theta
-                        best_psi = psi_b
+                        best, best_risk, best_theta, best_psi = view, risk, theta, psi_b
                     eta = min(eta * 2.0, STEP_INIT)
                     break
                 eta *= 0.5
@@ -538,8 +534,8 @@ def solve_relaxed(
             break
         rho = min(rho * PENALTY_GROWTH, PENALTY_MAX)
 
-    resid = stationarity_residual(best_theta, WeightedTrainingView(pool, best_b), cfg)
-    return RelaxedSolution(best_b, best_theta, resid, best_psi)
+    resid = stationarity_residual(best_theta, best, cfg)
+    return RelaxedSolution(best.weights, best_theta, resid, best_psi)
 
 
 def rounding_candidates(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from covertrain import (
@@ -92,6 +93,26 @@ class TestMmdTestCommand:
         res = invoke("mmd-test", tmp_path / "cover.csv",
                      tmp_path / "wide" / "secret_test.csv")
         self.assert_bad_input(res, "pool has 2 features, sample has 3")
+
+    @pytest.mark.parametrize("label_map, message", [
+        ("{bad", "--label-map is not JSON"),
+        ('{"a": 1, "b": "x"}', "label_map value for 'b' must be an integer"),
+        ('{"a": 1.5, "b": -1}', "label_map value for 'a' must be an integer"),
+        ('{"a": true, "b": -1}', "label_map value for 'a' must be an integer"),
+    ])
+    def test_bad_label_map_is_bad_input(self, tmp_path, label_map, message):
+        # files whose labels are the map's names, and a candidate that passes
+        # the detector under a valid map
+        invoke("synth", "--out", tmp_path, "--seed", 1)
+        header, *rows = (tmp_path / "cover.csv").read_text().splitlines()
+        named = [row.rsplit(",", 1)[0] + (",a" if row.endswith(",1") else ",b")
+                 for row in rows]
+        for name, kept in (("pool.csv", named), ("cand.csv", named[::4])):
+            (tmp_path / name).write_text("\n".join([header, *kept]) + "\n")
+        args = ("mmd-test", tmp_path / "pool.csv", tmp_path / "cand.csv",
+                "--label-map")
+        assert invoke(*args, '{"a": 1, "b": -1}').exit_code == 0
+        self.assert_bad_input(invoke(*args, label_map), message)
 
     def test_degenerate_pool_is_bad_input(self, tmp_path):
         from covertrain import Dataset

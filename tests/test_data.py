@@ -225,6 +225,15 @@ class TestLoadSave:
         with pytest.raises(DataError, match="not in label map"):
             load_dataset(path, label_map={"orange": 1})
 
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_label_map_values_must_be_integers(self, tmp_path, value):
+        # a float or a bool is not read as a sign, however it would round
+        path = tmp_path / "d.csv"
+        path.write_text("f0,label\n1,orange\n2,apple\n")
+        with pytest.raises(DataError, match="label_map value for 'orange' "
+                                            "must be an integer"):
+            load_dataset(path, label_map={"orange": value, "apple": -1})
+
     def test_add_bias(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,label\n2,1\n3,-1\n")

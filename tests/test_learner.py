@@ -418,9 +418,9 @@ def reference_train_batch(X, y, cfg, weights=None):
 
 
 class TestNewtonSolve:
-    """The Newton loop solves each system with the gufunc behind
-    `np.linalg.solve`, and so keeps its bits; a singular system raises
-    TrainingError."""
+    """The Newton loop and the weight gradient solve their systems with the
+    gufuncs behind `np.linalg.solve`, and so keep its bits; a singular
+    system raises TrainingError."""
 
     @pytest.mark.parametrize("B", [1, 7])
     @pytest.mark.parametrize("d", [1, 2, 3, 20])
@@ -432,6 +432,18 @@ class TestNewtonSolve:
             b = gen.standard_normal((B, d, 1))
             got = learner._solve(A, b, signature="dd->d")
             assert got.dtype == np.float64 and got.shape == (B, d, 1)
+            assert got.tobytes() == np.linalg.solve(A, b).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 20])
+    def test_solve1_has_linalg_bits(self, d):
+        # the sensitivity system's solve: one right-hand-side vector
+        gen = RngState(500 + d).generator
+        for _ in range(20):
+            M = gen.standard_normal((d, d))
+            A = M @ M.T + gen.uniform(1e-3, 1.0) * np.eye(d)
+            b = gen.standard_normal(d)
+            got = learner._solve1(A, b, signature="dd->d")
+            assert got.dtype == np.float64 and got.shape == (d,)
             assert got.tobytes() == np.linalg.solve(A, b).tobytes()
 
     def test_training_solves_without_the_wrapper(self, monkeypatch):
@@ -483,11 +495,13 @@ class TestNewtonSolve:
         # [[0.5, 0.5], [0.5, 0.5]], and lam = 1e-20 rounds away when added,
         # so the Newton system is exactly singular although lam > 0. The
         # outcome does not depend on numpy's error state or the warning
-        # filters outside, and a batch holding such a row fails whole
+        # filters outside, and a batch holding such a row fails whole. The
+        # weight gradient at theta = 0 solves the same singular system
         pool = make_dataset([[1.0, 1.0], [1.0, 1.0]], [1, 1])
         cfg = LearnerConfig(lam=1e-20)
         X = np.stack([pool.X, [[1.0, 0.5], [-1.0, 2.0]]])
         y = np.stack([pool.y, [1, -1]])
+        secret = gaussian_task(5, 3, role="secret_set")
         before = np.geterr()
         with warnings.catch_warnings(), np.errstate(invalid=ambient):
             warnings.simplefilter("error")
@@ -495,8 +509,12 @@ class TestNewtonSolve:
                 train(ones_view(pool), cfg)
             with pytest.raises(TrainingError, match="singular") as batch:
                 learner.train_batch(X, y, cfg)
+            with pytest.raises(TrainingError, match="singular") as sensitivity:
+                risk_gradient_wrt_weights(ones_view(pool), cfg, secret,
+                                          theta=ModelParams(np.zeros(2)))
             assert np.geterr()["invalid"] == ambient
         assert alone.value.residual is None and batch.value.residual is None
+        assert sensitivity.value.residual is None
         assert np.geterr() == before
 
 

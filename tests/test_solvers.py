@@ -397,6 +397,97 @@ class TestSolveBeam:
         assert cut.best.cached_risk == cut.trajectory[-1][1]
 
 
+def two_loop_beam(pool, secret, m, cfg, det, budget, rng):
+    """Beam search as it was written before it had one frontier loop, kept
+    as an oracle: it scores its initial draws in one loop and each frontier
+    in another, each subset by `risk_weighted` and `_record`, and checks the
+    deadline before each neighbor's training only."""
+    run = solvers._Scorer(pool, secret, m, cfg, det, None, budget.wall_clock_limit)
+
+    def risk(idx):
+        view = WeightedTrainingView(pool, subset_weights(len(pool), idx))
+        value = run.risk_weighted(view)[0]
+        run._record(idx, value)
+        return value
+
+    w = budget.beam_width
+    init_cap = solvers.DRAW_CAP_FACTOR * max(budget.max_trainings, w)
+    for r in range(budget.restarts):
+        budget_end = run.trainings + budget.per_restart(r)
+        batch = run.draw(rng, init_cap - run.draws,
+                         min(w, budget_end - run.trainings), set())
+        evaluated = {idx: risk(idx) for idx in batch}
+        if not evaluated:
+            continue
+        beam = sorted((value, idx) for idx, value in evaluated.items())
+        while not run.spent(budget_end):
+            fresh = {}
+            for _, idx in beam:
+                for nb in neighbors(idx, run, budget.neighbors_per_state, rng):
+                    if nb not in evaluated:
+                        fresh[nb] = None
+            if not fresh:
+                break
+            union = list(beam)
+            for idx in fresh:
+                if run.spent(budget_end):
+                    break
+                value = risk(idx)
+                evaluated[idx] = value
+                union.append((value, idx))
+            union.sort()
+            beam = union[:w]
+    return solvers._finalize(run, "beam", rng.seed)
+
+
+class TestOneFrontierLoop:
+    """Beam search scores every frontier, its initial draws included, by one
+    `risk_each` call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_two_loop_beam(self, data):
+        # small pools, budgets that cut a frontier, and detectors tightened
+        # so that draws and neighbor proposals get rejected
+        seed = data.draw(st.integers(0, 10**6))
+        n_per = data.draw(st.integers(3, 8))
+        m = data.draw(st.integers(2, min(6, 2 * n_per - 1)))
+        pool = gaussian_task(seed, n_per, separation=2.0, std=1.5)
+        secret = gaussian_task(seed + 1, 6, role="secret_set")
+        base = DetectorConfig.from_pool(pool)
+        shrink = data.draw(st.sampled_from([1.0, 0.03, 0.01, 0.003, 0.001]))
+        det = replace(base, kernel_bound=shrink * base.kernel_bound)
+        budget = SolverBudget(max_trainings=data.draw(st.integers(1, 40)),
+                              restarts=data.draw(st.integers(1, 4)),
+                              beam_width=data.draw(st.integers(1, 6)),
+                              neighbors_per_state=data.draw(st.integers(0, 8)))
+
+        def outcome(solve):
+            try:
+                return solve(pool, secret, m, LearnerConfig(), det, budget,
+                             RngState(seed)).to_dict()
+            except SolverError as exc:
+                return str(exc)
+
+        assert outcome(solve_beam) == outcome(two_loop_beam)
+
+    def test_deadline_in_the_first_frontier_stops_it(self, learner_cfg,
+                                                     monkeypatch):
+        # the deadline is checked before each training, the initial draws'
+        # included: it passes once 2 of a first frontier of 4 are charged
+        pool, secret, det = brute_instance()
+        budget = SolverBudget(max_trainings=50, beam_width=4,
+                              neighbors_per_state=3)
+        first = scorer(pool, secret, 3, learner_cfg, det).draw(
+            RngState(1), 200, 4, set())
+        monkeypatch.setattr(solvers._Scorer, "expired",
+                            lambda self: self.trainings >= 2)
+        report = solve_beam(pool, secret, 3, learner_cfg, det, budget, RngState(1))
+        assert len(first) == 4
+        assert report.trainings_used == 2
+        assert report.best.indices in first[:2]
+
+
 class TestKernelMatch:
     """A solver's `kernel=` must be built on its pool under its detector."""
 
@@ -815,6 +906,39 @@ class TestPenaltyPath:
         assert sol.psi_b <= -FEASIBILITY_SLACK
         assert abs(sol.b.sum() - 20) <= 1e-6
         assert empirical_risk(sol.theta, secret) <= seed_risk + 1e-9
+
+
+class TestRelaxedViews:
+    """solve_relaxed builds one WeightedTrainingView per training it
+    charges, and reuses it for the weight gradient and the residual."""
+
+    @pytest.mark.parametrize("instance", ["brute", "tightened"])
+    def test_one_view_per_training(self, learner_cfg, monkeypatch, instance):
+        if instance == "tightened":
+            pool, secret, det, seed_set = tightened_instance()
+            m, cap = 20, 100
+        else:
+            (pool, secret, det), seed_set = brute_instance(), CandidateSet((0, 1, 2))
+            m, cap = 3, NO_CAP
+        views, grads = [], []
+        view_cls, weighted_grad = solvers.WeightedTrainingView, PoolKernel.weighted_grad
+
+        def counted_view(*args):
+            views.append(1)
+            return view_cls(*args)
+
+        def counted_grad(self, b):
+            grads.append(1)
+            return weighted_grad(self, b)
+
+        monkeypatch.setattr(solvers, "WeightedTrainingView", counted_view)
+        monkeypatch.setattr(PoolKernel, "weighted_grad", counted_grad)
+        run = scorer(pool, secret, m, learner_cfg, det)
+        solve_relaxed(run, seed_set, cap)
+        assert run.trainings > 1
+        assert len(views) == run.trainings
+        # only the tightened detector sends an iterate down the penalty path
+        assert bool(grads) == (instance == "tightened")
 
 
 def reference_scores(pool, secret, cfg, subsets, trainings=0):

@@ -9,7 +9,6 @@ from .data import (
     load_dataset,
     sample_subset,
     save_dataset,
-    split_train_test,
 )
 from .detector import (
     DetectionVerdict,
@@ -32,7 +31,6 @@ from .harness import (
     random_baseline,
     rerun_from_manifest,
     run_experiment,
-    select_cover_task,
 )
 from .learner import (
     LearnerConfig,
@@ -41,19 +39,16 @@ from .learner import (
     WeightedTrainingView,
     empirical_risk,
     loss_gradients,
-    predict_error,
     risk_gradient_wrt_weights,
     stationarity_residual,
     train,
 )
 from .solvers import (
-    FEASIBILITY_SLACK,
     NlpOptions,
     SolverBudget,
     SolverError,
     SolverReport,
     neighbors,
-    project_capped_simplex,
     rounding_candidates,
     solve_beam,
     solve_nlp,

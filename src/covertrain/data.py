@@ -271,6 +271,7 @@ def load_dataset(
     quotes or a label map is read in one np.loadtxt call (`_plain_csv`), and
     only its header goes through csv.reader; when that call does not give a
     valid table, the row parser reads the file and names the failing row.
+    A file that is missing or cannot be read raises DataError naming it.
     """
     path = Path(path)
     fmt = _infer_format(path)
@@ -279,6 +280,8 @@ def load_dataset(
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path.name}: {exc}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
     rows: list[tuple[list[float], int]] = []
     plain = None
 

@@ -114,7 +114,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(_json_file(path))
+
+
+def _json_file(path):
+    """The JSON value file `path` holds. Raises DataError naming the file
+    when it cannot be read or is not JSON."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path.name}: not a readable JSON file: {exc}") from None
 
 
 def _fields_from(cls, obj, keys: dict) -> dict:
@@ -405,8 +415,11 @@ def run_experiment(
 
 def rerun_from_manifest(manifest_path, out_dir) -> tuple[EvaluationRow, dict]:
     """Replay a run from its manifest's embedded config and seed, writing
-    into a fresh directory. result.json must come out byte-identical."""
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    into a fresh directory. result.json must come out byte-identical.
+    A manifest that is not a JSON object with a `config` raises DataError."""
+    manifest = _json_file(manifest_path)
+    if not isinstance(manifest, dict) or "config" not in manifest:
+        raise DataError(f"{Path(manifest_path).name}: manifest has no 'config'")
     cfg = ExperimentConfig.from_dict(manifest["config"])
     cfg = replace(cfg, out_dir=str(out_dir))
     return run_experiment(cfg)

@@ -5,7 +5,7 @@ secret one. Desk-scale stand-in for large feature-extracted corpora."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,7 +16,9 @@ from .data import DataError, Dataset, RngState, check_counts
 class SyntheticSpec:
     """Two Gaussian blobs per task. The secret task separates along the
     first axis; the cover task separates along a direction rotated by
-    `angle` radians in the first coordinate plane. Counts are per class."""
+    `angle` radians in the first coordinate plane. Counts are per class.
+    `covertrain synth` offers one option per field, in this order, with the
+    field's default and type and the `help` in its metadata."""
 
     dim: int = 2
     secret_separation: float = 6.0
@@ -26,7 +28,8 @@ class SyntheticSpec:
     cover_separation: float = 5.0
     cover_std: float = 1.3
     cover_count: int = 100
-    angle: float = math.pi / 2
+    angle: float = field(default=math.pi / 2, metadata={
+        "help": "Radians between the two separating directions."})
     seed: int = 0
 
     def __post_init__(self):

@@ -1,13 +1,18 @@
-"""CLI surfaces: synth emission, standalone detector checks, runs, replays."""
+"""Public surfaces: synth emission, standalone detector checks, runs,
+replays, each command's outcome on bad input, and the package's exports."""
 
 from __future__ import annotations
 
+import importlib
 import json
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import covertrain
 from covertrain import (
     RngState, SyntheticSpec, generate, load_dataset, sample_subset, save_dataset,
 )
@@ -18,6 +23,14 @@ from test_harness import base_config, write_task_files
 
 def invoke(*args):
     return CliRunner().invoke(main, [str(a) for a in args])
+
+
+def assert_error_line(res, code, message):
+    # the command's only output is one `Error: ...` line on stderr
+    assert res.exit_code == code, res.output
+    assert res.stdout == ""
+    assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
+    assert message in res.stderr
 
 
 class TestSynthCommand:
@@ -48,6 +61,20 @@ class TestSynthCommand:
             save_dataset(ds, tmp_path / name)
             assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
 
+    def test_help_offers_one_option_per_spec_field(self):
+        res = invoke("synth", "--help")
+        assert res.exit_code == 0, res.output
+        # each option's help, its continuation lines joined
+        options = dict(re.findall(r"^  (--[a-z-]+)(.*(?:\n {4,}.*)*)",
+                                  res.output, re.MULTILINE))
+        spec = fields(SyntheticSpec)
+        assert list(options) == (
+            ["--out"] + ["--" + f.name.replace("_", "-") for f in spec] + ["--help"])
+        for f in spec:
+            shown = " ".join(options["--" + f.name.replace("_", "-")].split())
+            assert shown.endswith(f"[default: {f.default}]"), shown
+        assert "Radians between the two separating directions." in options["--angle"]
+
 
 class TestMmdTestCommand:
     def test_subset_verdict_json(self, tmp_path):
@@ -76,10 +103,7 @@ class TestMmdTestCommand:
 
     def assert_bad_input(self, res, message):
         # exit 1 means "flagged", so bad input exits 2 with one stderr line
-        assert res.exit_code == 2, res.output
-        assert res.stdout == ""
-        assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1
-        assert message in res.stderr
+        assert_error_line(res, 2, message)
 
     def test_malformed_candidate_is_bad_input(self, tmp_path):
         invoke("synth", "--out", tmp_path, "--seed", 1)
@@ -153,3 +177,71 @@ class TestRunAndRerun:
         assert res.exit_code == 0, res.output
         assert (out / "result.json").exists()
         assert (out / "model.json").exists()
+
+
+class TestErrorOutcome:
+    """Input a command cannot use exits 2, and a run stage that fails exits
+    1, each after one `Error: ...` line on stderr and no traceback."""
+
+    def test_synth_bad_spec_is_bad_input(self, tmp_path):
+        res = invoke("synth", "--out", tmp_path / "demo", "--dim", 1)
+        assert_error_line(res, 2, "rotation needs at least two dimensions")
+        assert not (tmp_path / "demo").exists()
+
+    @pytest.mark.parametrize("drop, text, message", [
+        (None, "{not json", "config.json: not a readable JSON file"),
+        ("covers", None, "missing key 'covers'"),
+    ])
+    def test_run_bad_config_is_bad_input(self, tmp_path, drop, text, message):
+        if text is None:
+            cfg = base_config(tmp_path, write_task_files(tmp_path)).to_dict()
+            del cfg[drop]
+            text = json.dumps(cfg)
+        (tmp_path / "config.json").write_text(text)
+        res = invoke("run", "--config", tmp_path / "config.json")
+        assert_error_line(res, 2, message)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"seed": 7}', "manifest.json: manifest has no 'config'"),
+        ("{not json", "manifest.json: not a readable JSON file"),
+    ])
+    def test_rerun_bad_manifest_is_bad_input(self, tmp_path, text, message):
+        (tmp_path / "manifest.json").write_text(text)
+        res = invoke("rerun", "--manifest", tmp_path / "manifest.json",
+                     "--out", tmp_path / "replay")
+        assert_error_line(res, 2, message)
+
+    def test_run_stage_failure_exits_1(self, tmp_path):
+        cfg = replace(base_config(tmp_path, write_task_files(tmp_path)), m=10_000)
+        (tmp_path / "config.json").write_text(json.dumps(cfg.to_dict()))
+        res = invoke("run", "--config", tmp_path / "config.json")
+        assert_error_line(res, 1, "Error: stage 'load' failed: m=10000 exceeds pool size")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "load"
+
+    def test_rerun_stage_failure_exits_1(self, tmp_path):
+        paths = write_task_files(tmp_path)
+        (tmp_path / "config.json").write_text(
+            json.dumps(base_config(tmp_path, paths).to_dict()))
+        assert invoke("run", "--config", tmp_path / "config.json").exit_code == 0
+        Path(paths["cover"]).unlink()
+        res = invoke("rerun", "--manifest", tmp_path / "out" / "manifest.json",
+                     "--out", tmp_path / "replay")
+        assert_error_line(res, 1, "Error: stage 'load' failed: cannot read")
+        manifest = json.loads((tmp_path / "replay" / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "load"
+
+
+@pytest.mark.parametrize("module, name", [
+    ("covertrain.data", "split_train_test"),
+    ("covertrain.harness", "select_cover_task"),
+    ("covertrain.learner", "predict_error"),
+    ("covertrain.solvers", "FEASIBILITY_SLACK"),
+    ("covertrain.solvers", "project_capped_simplex"),
+])
+def test_module_name_is_not_a_package_export(module, name):
+    # the package exports what README, the benchmark and the CLI import
+    # from it; these are imported from their modules
+    assert hasattr(importlib.import_module(module), name)
+    assert not hasattr(covertrain, name)

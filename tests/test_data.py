@@ -6,6 +6,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -22,10 +23,9 @@ from covertrain import (
     load_dataset,
     sample_subset,
     save_dataset,
-    split_train_test,
 )
 import covertrain.data as data
-from covertrain.data import ROLES, _child_seed
+from covertrain.data import ROLES, _child_seed, split_train_test
 
 from conftest import gaussian_task, make_dataset
 
@@ -182,6 +182,15 @@ class TestLoadSave:
         assert len(ds) == 3
         assert ds.dimension == 2
         assert list(ds.y) == [1, -1, 1]
+
+    @pytest.mark.parametrize("make", ["missing", "directory"])
+    def test_unreadable_file_is_a_data_error(self, tmp_path, make):
+        # FileNotFoundError and IsADirectoryError escaped read_text
+        path = tmp_path / "d.csv"
+        if make == "directory":
+            path.mkdir()
+        with pytest.raises(DataError, match=re.escape(f"cannot read {path}")):
+            load_dataset(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "d.csv"

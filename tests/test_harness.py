@@ -36,8 +36,8 @@ from covertrain import (
     rerun_from_manifest,
     run_experiment,
     save_dataset,
-    select_cover_task,
 )
+from covertrain.harness import select_cover_task
 from covertrain.synth import SyntheticSpec, generate
 
 from conftest import gaussian_task, make_dataset
@@ -374,6 +374,26 @@ class TestRunExperiment:
         manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
         assert manifest["failed_stage"] == "load"
         assert "error" in manifest
+
+    def test_missing_data_file_fails_at_load_with_a_data_error(self, tmp_path):
+        paths = write_task_files(tmp_path)
+        cfg = replace(base_config(tmp_path, paths),
+                      cover_paths=(str(tmp_path / "gone.csv"),))
+        with pytest.raises(StageError) as err:
+            run_experiment(cfg)
+        assert err.value.stage == "load"
+        assert isinstance(err.value.cause, DataError)
+        assert "gone.csv" in str(err.value.cause)
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "manifest.json: not a readable JSON file"),
+        ('{"seed": 7}', "manifest.json: manifest has no 'config'"),
+        ("[1, 2]", "manifest.json: manifest has no 'config'"),
+    ])
+    def test_rerun_of_a_bad_manifest_is_a_data_error(self, tmp_path, text, message):
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(DataError, match=message):
+            rerun_from_manifest(tmp_path / "manifest.json", tmp_path / "replay")
 
     @pytest.mark.parametrize("role", ["cover", "secret_test"])
     def test_feature_count_mismatch_fails_at_load(self, tmp_path, role):

@@ -28,12 +28,11 @@ from covertrain import (
     WeightedTrainingView,
     empirical_risk,
     loss_gradients,
-    predict_error,
     risk_gradient_wrt_weights,
     stationarity_residual,
     train,
 )
-from covertrain.learner import instance_losses
+from covertrain.learner import instance_losses, predict_error
 
 from conftest import gaussian_task, make_dataset
 

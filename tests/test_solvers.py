@@ -29,7 +29,6 @@ from covertrain import (
     WeightedTrainingView,
     empirical_risk,
     neighbors,
-    project_capped_simplex,
     risk_gradient_wrt_weights,
     rounding_candidates,
     sample_subset,
@@ -39,7 +38,9 @@ from covertrain import (
     train,
 )
 from covertrain.learner import subset_weights, train_batch
-from covertrain.solvers import FEASIBILITY_SLACK, round_relaxed, solve_relaxed
+from covertrain.solvers import (
+    FEASIBILITY_SLACK, project_capped_simplex, round_relaxed, solve_relaxed,
+)
 
 from conftest import exhaustive_best, gaussian_task, make_dataset, subset_risk
 

@@ -17,10 +17,9 @@ from covertrain import (
     WeightedTrainingView,
     acceptance_spec,
     generate,
-    predict_error,
     train,
 )
-from covertrain.learner import train_batch
+from covertrain.learner import predict_error, train_batch
 
 from conftest import exhaustive_best
 

@@ -7,11 +7,10 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
-from pathlib import Path
 
 import click
 
-from .data import DataError, load_dataset, save_dataset
+from .data import DataError, load_dataset, make_output_dir, save_dataset
 from .detector import DetectorConfig, DetectorError, detect
 from .harness import ExperimentConfig, StageError, run_experiment, rerun_from_manifest
 from .synth import SyntheticSpec, generate
@@ -104,8 +103,7 @@ def synth_cmd(out_dir, **spec):
     """Emit secret.csv, cover.csv and secret_test.csv for a synthetic task pair."""
     with _one_error_line():
         secret, cover, secret_test = generate(SyntheticSpec(**spec))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+        out = make_output_dir(out_dir)
     save_dataset(secret, out / "secret.csv")
     save_dataset(cover, out / "cover.csv")
     save_dataset(secret_test, out / "secret_test.csv")

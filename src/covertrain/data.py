@@ -256,6 +256,20 @@ def _plain_csv(lines: list[str], dim: int) -> tuple[np.ndarray, np.ndarray] | No
     return X, labels.astype(np.int64)
 
 
+def make_output_dir(path) -> Path:
+    """Create the directory `path`, and its parents, unless it exists.
+    A path that cannot be a directory, such as an existing regular file,
+    raises DataError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(
+            f"cannot create output directory {out}: {exc.strerror or exc}"
+        ) from None
+    return out
+
+
 def load_dataset(
     path,
     label_map: dict | None = None,

@@ -19,14 +19,16 @@ flagged suspicious when psi = MMD - T >= 0.
 Every sum of kernel values over a rectangle of points, whether in verify's
 `mmd`, a `PoolKernel`'s row sums or `weighted_mmd`'s, comes from one pass in
 fixed square tiles (`_row_sums`), so its bits do not depend on the number
-of workers and no n x m matrix is allocated.
+of workers and no n x m matrix is allocated. Squared distances come from
+numpy for a small pool and from scipy.spatial for a larger one, with the
+same bits (`_distances_for`).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import asdict, dataclass
 from functools import partial
 
@@ -71,6 +73,19 @@ _WORKERS = _cpu_count()
 # saves.
 _TASK_ENTRIES = 1 << 18
 
+# Bytes of kernel values one tile of `_row_sums` or one chunk of
+# `_support_rows` holds at once, about.
+_CHUNK_BYTES = 1 << 20
+
+# Squared-difference terms n^2 (d+1) of the largest pool whose distances
+# numpy computes, one 8-byte term per entry of a `_CHUNK_BYTES` chunk:
+# 131,072, so an n = 200, d = 2 pool (120,000) is small. numpy takes up to
+# 1.6x cdist's time on such a pool's calls, and up to 2.6x on a larger or
+# wider tile (BENCH_small_pool_distances.json), so larger pools keep scipy's;
+# a process that handles only small pools never imports scipy.spatial, which
+# costs 12 MB of memory and 0.15 s.
+_NUMPY_TERMS = _CHUNK_BYTES // 8
+
 
 def _in_row_blocks(task, row_cost: np.ndarray) -> None:
     """Call task(lo, hi) on consecutive row blocks that cover every row.
@@ -94,6 +109,9 @@ def _in_row_blocks(task, row_cost: np.ndarray) -> None:
     inner = np.searchsorted(cum, total * np.arange(1, count) / count) + 1
     edges = np.unique(np.concatenate(([0], inner, [rows])))
     first, *rest = zip(edges[:-1], edges[1:])
+    # Imported here, where a thread starts: it loads logging too.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=count - 1,
                             thread_name_prefix="covertrain-detector") as pool:
         futures = [pool.submit(task, lo, hi) for lo, hi in rest]
@@ -102,16 +120,99 @@ def _in_row_blocks(task, row_cost: np.ndarray) -> None:
         future.result()
 
 
-def _kernels(A: np.ndarray, B: np.ndarray, scale: float,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """exp(cdist(A, B, "sqeuclidean") / scale), in place in `out` when given,
-    with scale = -2 sigma^2: every kernel value the detector uses comes from
-    here. Dividing by -2 sigma^2 gives the bits of negating, then dividing by
-    2 sigma^2, in one pass. scipy.spatial loads on the first call, not when
-    covertrain is imported."""
+# Each thread's temporary for `_numpy_cdist`, grown to its largest call (at
+# most 512 KB, since only small pools use it) and kept: a new temporary on
+# each call made the routine's time in an accept-run operation 7-15% longer.
+_TEMPORARY = threading.local()
+
+
+def _numpy_cdist(A: np.ndarray, B: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """cdist(A, B, "sqeuclidean") in numpy, bit for bit, in place in `out`
+    when given: out = (a_0 - b_0)^2, then out += (a_j - b_j)^2 for each
+    further column j, in cdist's order of terms.
+
+    Column j's n x m differences are one matrix product, [a_j, -1] @
+    [1; b_j]. Both of its products are exact, so their sum is a_j - b_j
+    rounded once, as subtracting rounds it, whatever order or fused
+    multiply-add the BLAS uses; only the sign of a zero difference may
+    differ, and squaring drops it. A 200 x 200 product takes a third of the
+    time of numpy's broadcast subtraction (16 against 52 us). Later columns
+    go through one temporary per thread, kept between calls."""
+    if out is None:
+        out = np.empty((A.shape[0], B.shape[0]))
+    n, k = A.shape
+    if k == 0:  # no coordinates: cdist's sums are all empty
+        out.fill(0.0)
+        return out
+    left = np.empty((k, n, 2))
+    left[:, :, 0] = A.T
+    left[:, :, 1] = -1.0
+    right = np.empty((k, 2, B.shape[0]))
+    right[:, 0] = 1.0
+    right[:, 1] = B.T
+    np.matmul(left[0], right[0], out=out)
+    np.square(out, out=out)
+    if k > 1:
+        spare = getattr(_TEMPORARY, "buf", None)
+        if spare is None or spare.size < out.size:
+            spare = _TEMPORARY.buf = np.empty(out.size)
+        term = spare[:out.size].reshape(out.shape)
+        for j in range(1, k):
+            np.matmul(left[j], right[j], out=term)
+            np.square(term, out=term)
+            np.add(out, term, out=out)
+    return out
+
+
+def _numpy_pdist(P: np.ndarray, out: np.ndarray) -> None:
+    """pdist(P, "sqeuclidean") into `out`, bit for bit: the strict upper
+    triangle of `_numpy_cdist(P, P)`, row by row."""
+    rows = np.arange(P.shape[0])
+    out[:] = _numpy_cdist(P, P)[rows[:, None] < rows]
+
+
+def _scipy_cdist(A: np.ndarray, B: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """cdist(A, B, "sqeuclidean"), in place in `out` when given.
+    scipy.spatial loads on the first call, not when covertrain is imported."""
     from scipy.spatial.distance import cdist
 
-    E = cdist(A, B, "sqeuclidean", out=out)
+    return cdist(A, B, "sqeuclidean", out=out)
+
+
+def _scipy_pdist(P: np.ndarray, out: np.ndarray) -> None:
+    """pdist(P, "sqeuclidean") into `out`."""
+    from scipy.spatial.distance import pdist
+
+    pdist(P, "sqeuclidean", out=out)
+
+
+def _distances_for(terms: int):
+    """The squared-distance routines, (cdist, pdist), for a pass of `terms`
+    squared differences: numpy's up to `_NUMPY_TERMS`, scipy's above. Both
+    give the same bits. Callers pick once per pool, by the n^2 (d+1) terms
+    of its full pass (`_pool_cdist`), or per pass in `gram`, so every pass
+    of a larger pool, its small edge tiles and samples included, runs
+    scipy's."""
+    if terms <= _NUMPY_TERMS:
+        return _numpy_cdist, _numpy_pdist
+    return _scipy_cdist, _scipy_pdist
+
+
+def _pool_cdist(Z: np.ndarray):
+    """The cdist routine for the pool whose augmented points are Z."""
+    return _distances_for(Z.shape[0] * Z.shape[0] * Z.shape[1])[0]
+
+
+def _kernels(A: np.ndarray, B: np.ndarray, scale: float, cdist,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """exp(cdist(A, B) / scale), in place in `out` when given, with scale =
+    -2 sigma^2 and `cdist` a squared-distance routine from `_distances_for`:
+    every kernel value the detector uses comes from here. Dividing by
+    -2 sigma^2 gives the bits of negating, then dividing by 2 sigma^2, in
+    one pass."""
+    E = cdist(A, B, out=out)
     np.divide(E, scale, out=E)
     return np.exp(E, out=E)
 
@@ -146,8 +247,10 @@ def gram(Z1: np.ndarray, Z2: np.ndarray, sigma: float) -> np.ndarray:
     rows, cols = Z1.shape[0], Z2.shape[0]
     K = _gram_buffer(rows, cols)
     scale = -2.0 * sigma * sigma
-    _in_row_blocks(lambda lo, hi: _kernels(Z1[lo:hi], Z2, scale, out=K[lo:hi]),
-                   np.full(rows, cols))
+    cdist = _distances_for(rows * cols * Z1.shape[1])[0]
+    _in_row_blocks(
+        lambda lo, hi: _kernels(Z1[lo:hi], Z2, scale, cdist, out=K[lo:hi]),
+        np.full(rows, cols))
     return K
 
 
@@ -168,16 +271,19 @@ def _calibrate(pool: Dataset) -> tuple[float, float]:
     cross-class entry is below a same-class one, only the block that holds
     the median index is partitioned. A pool whose median distance is zero
     (every distance zero included) has no bandwidth and raises.
-    """
-    from scipy.spatial.distance import cdist, pdist
 
+    pdist and cdist are numpy's or scipy's, picked once by the n^2 (d+1)
+    terms of the pool's augmented pass (`_distances_for`), with the same
+    bits either way.
+    """
     n = len(pool)
+    cdist, pdist = _distances_for(n * n * (pool.dimension + 1))
     squares = np.empty(n * (n - 1) // 2)
     same = 0
     for sign in (-1, 1):
         pts = pool.X[pool.y == sign]
         pairs = pts.shape[0] * (pts.shape[0] - 1) // 2
-        pdist(pts, "sqeuclidean", out=squares[same:same + pairs])
+        pdist(pts, squares[same:same + pairs])
         same += pairs
     if not same:
         raise DetectorError("no class has two members; label scale undefined")
@@ -188,7 +294,7 @@ def _calibrate(pool: Dataset) -> tuple[float, float]:
     grid = cross.reshape(pos.shape[0], neg.shape[0])
 
     def task(lo, hi):
-        cdist(pos[lo:hi], neg, "sqeuclidean", out=grid[lo:hi])
+        cdist(pos[lo:hi], neg, out=grid[lo:hi])
         grid[lo:hi] += c * c
 
     _in_row_blocks(task, np.full(pos.shape[0], neg.shape[0]))
@@ -255,11 +361,6 @@ class DetectionVerdict:
         return asdict(self)
 
 
-# Bytes of kernel values one tile of `_row_sums` or one chunk of
-# `_support_rows` holds at once, about.
-_CHUNK_BYTES = 1 << 20
-
-
 def mmd(Z: np.ndarray, Zp: np.ndarray, cfg: DetectorConfig) -> float:
     """Biased empirical MMD between two augmented samples.
 
@@ -268,6 +369,8 @@ def mmd(Z: np.ndarray, Zp: np.ndarray, cfg: DetectorConfig) -> float:
     The cross pass computes the tiles of Z against Zp with the same
     floating-point operations as a sample's own pass, so when Z and Zp are
     equal all three sums have equal bits, and MMD(Z, Z) = 0 holds exactly.
+    Z is the pool: its size picks the distance routine of all three passes
+    (`_pool_cdist`).
     The radicand is clamped at zero before the square root to absorb
     negative floating-point residue of order -1e-17.
     """
@@ -276,8 +379,10 @@ def mmd(Z: np.ndarray, Zp: np.ndarray, cfg: DetectorConfig) -> float:
     if Z.shape[0] < 1 or Zp.shape[0] < 1:
         raise DetectorError("mmd needs at least one point per sample")
     scale = -2.0 * cfg.sigma * cfg.sigma
-    return _mmd_root(_row_sums(Z, scale)[1], _row_sums(Z, scale, Zp=Zp)[1],
-                     _row_sums(Zp, scale)[1])
+    cdist = _pool_cdist(Z)
+    return _mmd_root(_row_sums(Z, scale, cdist=cdist)[1],
+                     _row_sums(Z, scale, Zp=Zp, cdist=cdist)[1],
+                     _row_sums(Zp, scale, cdist=cdist)[1])
 
 
 def mmd_threshold(n: int, m: int, cfg: DetectorConfig) -> float:
@@ -338,7 +443,8 @@ def _mmd_root(pool_term: float, cross: float, within: float) -> float:
 
 
 def _row_sums(Z: np.ndarray, scale: float, Zp: np.ndarray | None = None,
-              K: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+              K: np.ndarray | None = None,
+              cdist=None) -> tuple[np.ndarray, float]:
     """Row sums of the kernel matrix k(Z, Zp), Zp = Z when not given, and
     their total over n m (for Zp = Z, the weight-free first term of the MMD
     radicand).
@@ -350,14 +456,16 @@ def _row_sums(Z: np.ndarray, scale: float, Zp: np.ndarray | None = None,
     block I, and off the diagonal the sums of the columns of k(Zp_I, Z_J),
     the part of column block I, to parts[I] at the Z rows of block J. When
     Zp is Z (or not given) the second tile is the first, so every pair of
-    points is computed once and the matrix is exactly symmetric. cdist's
-    squared distances are elementwise symmetric, so a Zp equal to Z by
-    value runs the same floating-point operations and gets the same bits.
+    points is computed once and the matrix is exactly symmetric. Squared
+    distances are elementwise symmetric, so a Zp equal to Z by value runs
+    the same floating-point operations and gets the same bits.
     Each row's parts add up in tile order; a part whose block is empty
     stays zero. The tiles depend only on the shapes, so the bits do not
     depend on how `_in_row_blocks` spreads them over workers, and one tile
     gets the bits of k(Z, Zp).sum(axis=1). Every tile is computed
-    (`_kernels`) into its task's buffer, so no n x m matrix is allocated.
+    (`_kernels`) into its task's buffer, so no n x m matrix is allocated,
+    with the distance routine `cdist`, by default the one Z's size picks
+    (`_pool_cdist`).
 
     When an n x n matrix K is given (Zp = Z), the pass also writes each tile
     to K at (I, J) and, off the diagonal, its transpose at (J, I), so K ends
@@ -366,6 +474,7 @@ def _row_sums(Z: np.ndarray, scale: float, Zp: np.ndarray | None = None,
     """
     Zp = Z if Zp is None else Zp
     symmetric = Zp is Z
+    cdist = _pool_cdist(Z) if cdist is None else cdist
     n, m = Z.shape[0], Zp.shape[0]
     side = max(1, math.isqrt(_CHUNK_BYTES // 8))
     starts = range(0, max(n, m), side)
@@ -382,7 +491,7 @@ def _row_sums(Z: np.ndarray, scale: float, Zp: np.ndarray | None = None,
             """k(A_I, B_J), computed into the task's buffer."""
             a, b = A[blocks[I]], B[blocks[J]]
             out = buf[:a.shape[0] * b.shape[0]].reshape(a.shape[0], b.shape[0])
-            return _kernels(a, b, scale, out=out)
+            return _kernels(a, b, scale, cdist, out=out)
 
         for I, J in tiles[lo:hi]:
             if rows[I] and cols[J]:
@@ -407,8 +516,10 @@ def _row_sums(Z: np.ndarray, scale: float, Zp: np.ndarray | None = None,
 def _computed_block(Z: np.ndarray, scale: float, rows: np.ndarray,
                     cols: np.ndarray | None = None) -> np.ndarray:
     """k(z_i, z_j) for i in `rows` and j in `cols` (every column when cols
-    is None), computed: entry for entry the bits of the Gram matrix."""
-    return _kernels(Z[rows], Z if cols is None else Z[cols], scale)
+    is None), computed with the distance routine Z's size picks: entry for
+    entry the bits of the Gram matrix."""
+    return _kernels(Z[rows], Z if cols is None else Z[cols], scale,
+                    _pool_cdist(Z))
 
 
 def _check_weights(b, n: int) -> np.ndarray:

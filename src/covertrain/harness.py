@@ -23,6 +23,7 @@ from .data import (
     check_counts,
     checked_label_map,
     load_dataset,
+    make_output_dir,
     plain_numbers,
     sample_subset,
     split_train_test,
@@ -258,10 +259,10 @@ def run_experiment(
     configured solver on the chosen pool, re-verify the detector on the
     delivered set, then compute the evaluation row. Per-stage child seeds
     let any stage be replayed in isolation. On failure the partial manifest
-    is still written and a StageError raised.
+    is still written and a StageError raised. An out_dir that cannot be
+    created raises DataError before any stage runs.
     """
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(cfg.out_dir)
     rng = RngState(cfg.seed)
     manifest: dict = {
         "config": cfg.to_dict(),

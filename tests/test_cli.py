@@ -212,6 +212,31 @@ class TestErrorOutcome:
                      "--out", tmp_path / "replay")
         assert_error_line(res, 2, message)
 
+    def test_synth_out_naming_a_file_is_bad_input(self, tmp_path):
+        (tmp_path / "afile").write_text("kept")
+        res = invoke("synth", "--out", tmp_path / "afile")
+        assert_error_line(res, 2, f"cannot create output directory {tmp_path / 'afile'}")
+        assert (tmp_path / "afile").read_text() == "kept"
+
+    def test_run_out_naming_a_file_is_bad_input(self, tmp_path):
+        cfg = base_config(tmp_path, write_task_files(tmp_path))
+        (tmp_path / "config.json").write_text(json.dumps(cfg.to_dict()))
+        (tmp_path / "afile").write_text("kept")
+        res = invoke("run", "--config", tmp_path / "config.json",
+                     "--out", tmp_path / "afile")
+        assert_error_line(res, 2, f"cannot create output directory {tmp_path / 'afile'}")
+        assert (tmp_path / "afile").read_text() == "kept"
+
+    def test_rerun_out_naming_a_file_is_bad_input(self, tmp_path):
+        cfg = base_config(tmp_path, write_task_files(tmp_path))
+        (tmp_path / "config.json").write_text(json.dumps(cfg.to_dict()))
+        assert invoke("run", "--config", tmp_path / "config.json").exit_code == 0
+        (tmp_path / "afile").write_text("kept")
+        res = invoke("rerun", "--manifest", tmp_path / "out" / "manifest.json",
+                     "--out", tmp_path / "afile" / "replay")
+        assert_error_line(res, 2, "cannot create output directory")
+        assert (tmp_path / "afile").read_text() == "kept"
+
     def test_run_stage_failure_exits_1(self, tmp_path):
         cfg = replace(base_config(tmp_path, write_task_files(tmp_path)), m=10_000)
         (tmp_path / "config.json").write_text(json.dumps(cfg.to_dict()))

@@ -3,6 +3,8 @@ the weighted variant used by the relaxation."""
 
 from __future__ import annotations
 
+import concurrent.futures
+import json
 import math
 import os
 import signal
@@ -37,7 +39,7 @@ from covertrain import (
     psi,
     weighted_mmd,
 )
-from covertrain import RngState
+from covertrain import RngState, acceptance_spec, generate
 
 from conftest import gaussian_task, make_dataset
 
@@ -442,8 +444,10 @@ class TestGramMemoryGuard:
         def no_cdist(*args, **kwargs):
             raise AssertionError("distance matrix allocated")
 
-        # the detector imports cdist from scipy on each call
+        # the detector imports cdist from scipy on each call; numpy computes
+        # this pass's distances
         monkeypatch.setattr(scipy.spatial.distance, "cdist", no_cdist)
+        monkeypatch.setattr(detector, "_numpy_cdist", no_cdist)
         with pytest.raises(DetectorError, match=r"20x12 Gram matrix needs 1920 bytes"):
             gram(np.zeros((20, 2)), np.zeros((12, 2)), 1.0)
 
@@ -476,9 +480,9 @@ def test_stored_kernel_computes_each_value_once(side):
     computed = []
     kernels = detector._kernels
 
-    def counting(A, B, scale, out=None):
+    def counting(A, B, scale, cdist, out=None):
         computed.append(A.shape[0] * B.shape[0])
-        return kernels(A, B, scale, out=out)
+        return kernels(A, B, scale, cdist, out=out)
 
     sizes = [min(side, n - first) for first in range(0, n, side)]
     with mock.patch.object(detector, "_kernels", counting), \
@@ -494,13 +498,67 @@ def test_stored_kernel_computes_each_value_once(side):
     assert np.array_equal(kernel._K, gram(Z, Z, cfg.sigma))
 
 
-def test_import_leaves_scipy_spatial_unloaded():
-    # the detector imports its distance functions on first use
-    code = "import sys, covertrain; print('scipy.spatial' in sys.modules)"
+def _modules_after(code, *args):
+    """The sorted names in sys.modules after a fresh Python process that
+    imports covertrain from this checkout runs `code`, which prints them."""
     env = dict(os.environ, PYTHONPATH=str(Path(detector.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # the detector imports its distance functions on first use, and its
+    # thread pool where a pass starts threads
+    loaded = _modules_after("import json, sys, covertrain, covertrain.cli;"
+                            " print(json.dumps(sorted(sys.modules)))")
+    assert not [m for m in loaded if m.startswith(("scipy.spatial", "concurrent"))]
+
+
+_RUN_AT_ACCEPTANCE_SCALE = """
+import json, sys
+from pathlib import Path
+from covertrain import (ExperimentConfig, acceptance_spec, generate,
+                        run_experiment, save_dataset)
+out = Path(sys.argv[1])
+names = ("secret", "cover", "test")
+for name, ds in zip(names, generate(acceptance_spec(0))):
+    save_dataset(ds, out / f"{name}.csv")
+for solver in ("uniform", "beam", "nlp"):
+    run_experiment(ExperimentConfig.from_dict({
+        "secret": str(out / "secret.csv"), "covers": [str(out / "cover.csv")],
+        "test": str(out / "test.csv"), "m": 20, "solver": solver, "seed": 1,
+        "selection_budget": 20, "random_trials": 2,
+        "budget": {"max_trainings": 60, "beam_width": 2,
+                   "neighbors_per_state": 4},
+        "out_dir": str(out / solver)}))
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_acceptance_scale_run_loads_no_scipy_spatial(tmp_path):
+    # its pools are small: numpy computes every distance, and no pass is
+    # large enough to start a thread
+    loaded = _modules_after(_RUN_AT_ACCEPTANCE_SCALE, tmp_path)
+    assert "covertrain.harness" in loaded and "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.spatial")]
+    assert "concurrent.futures.thread" not in loaded
+    assert (tmp_path / "nlp" / "result.json").exists()
+
+
+def test_kernel_of_a_larger_pool_loads_scipy_spatial():
+    code = """
+import json, sys
+import numpy as np
+from covertrain import Dataset, DetectorConfig, PoolKernel
+gen = np.random.default_rng(5)
+# 210 points, d = 2: 210^2 * 3 = 132,300 squared differences, above numpy's
+pool = Dataset(gen.standard_normal((210, 2)), np.repeat([1, -1], 105))
+before = "scipy.spatial.distance" in sys.modules
+PoolKernel(pool, DetectorConfig(alpha=0.05, sigma=1.0, label_scale_c=1.0))
+print(json.dumps([before, "scipy.spatial.distance" in sys.modules]))
+"""
+    assert _modules_after(code) == [False, True]
 
 
 class TestPeakMemory:
@@ -810,9 +868,10 @@ def _tile_row_sums(K, side):
 
 
 def _recording_pools():
-    """A patch of the detector's ThreadPoolExecutor with a subclass that
-    records the pools opened while it is active, and the list they go in;
-    each pool's `blocks` holds the (lo, hi) rows submitted to it."""
+    """A patch of the ThreadPoolExecutor the detector imports when a pass
+    starts threads, with a subclass that records the pools opened while it
+    is active, and the list they go in; each pool's `blocks` holds the
+    (lo, hi) rows submitted to it."""
     opened = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -825,7 +884,8 @@ def _recording_pools():
             self.blocks.append(args)
             return super().submit(fn, *args)
 
-    return mock.patch.object(detector, "ThreadPoolExecutor", RecordingPool), opened
+    return (mock.patch.object(concurrent.futures, "ThreadPoolExecutor", RecordingPool),
+            opened)
 
 
 class TestRowBlocks:
@@ -1009,7 +1069,7 @@ class TestRowBlocks:
         assert [len(p.blocks) for p in pools] == [2]
         assert np.array_equal(blocks, _textbook_gram(Z1, Z2, 0.7))
         # below two tasks' worth of entries, no pool opens and no thread starts
-        no_pool = mock.patch.object(detector, "ThreadPoolExecutor",
+        no_pool = mock.patch.object(concurrent.futures, "ThreadPoolExecutor",
                                     side_effect=AssertionError)
         with no_pool:
             assert np.array_equal(gram(Z1, Z2, 0.7), blocks)
@@ -1079,3 +1139,158 @@ class TestOperatingCharacteristics:
             if mmd(Z, Zc, cfg) - mmd_threshold(200, 200, cfg) >= 0:
                 flags += 1
         assert flags / trials >= 0.95
+
+
+@st.composite
+def _distance_operands(draw):
+    """Two point sets of 1 to 80 rows and 1 to 40 coordinates, scaled by 1e-3
+    to 1e5, some with duplicated rows (within the first set and shared with
+    the second) and some with a last column of 0 or c, the augmented label
+    coordinate."""
+    d = draw(st.integers(1, 40))
+    A, B = (draw(arrays(np.float64, (draw(st.integers(1, 80)), d), elements=_coords))
+            for _ in range(2))
+    gen = RngState(draw(st.integers(0, 2**32 - 1))).generator
+    if draw(st.booleans()):
+        A, B = gen.standard_normal(A.shape), gen.standard_normal(B.shape)
+    A, B = A * 10.0 ** draw(st.floats(-3, 5)), B * 10.0 ** draw(st.floats(-3, 5))
+    if draw(st.booleans()):
+        A[gen.integers(0, len(A), len(A) // 2)] = A[0]
+        shared = gen.random(len(B)) < 0.5
+        B[shared] = A[gen.integers(0, len(A), np.count_nonzero(shared))]
+    if draw(st.booleans()):
+        c = 10.0 ** draw(st.floats(-3, 5))
+        A[:, -1] = np.where(gen.random(len(A)) < 0.5, c, 0.0)
+        B[:, -1] = np.where(gen.random(len(B)) < 0.5, c, 0.0)
+    return A, B
+
+
+def _scipy_only():
+    """Patches under which the numpy distance routines raise."""
+    def fail(*args, **kwargs):
+        raise AssertionError("numpy distances on a scipy pool")
+
+    return (mock.patch.object(detector, "_numpy_cdist", fail),
+            mock.patch.object(detector, "_numpy_pdist", fail))
+
+
+def _numpy_only():
+    """Patches under which scipy's cdist and pdist raise (the detector
+    imports them on each call)."""
+    def fail(*args, **kwargs):
+        raise AssertionError("scipy distances on a numpy pool")
+
+    return (mock.patch.object(scipy.spatial.distance, "cdist", fail),
+            mock.patch.object(scipy.spatial.distance, "pdist", fail))
+
+
+def _counting_scipy():
+    """Patches that count scipy's cdist and pdist calls, and the counts."""
+    counts = {"cdist": 0, "pdist": 0}
+
+    def counted(name):
+        real = getattr(scipy.spatial.distance, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return mock.patch.object(scipy.spatial.distance, name, call)
+
+    return (counted("cdist"), counted("pdist")), counts
+
+
+def _every_pass(pool, m):
+    """Calibration, a kernel build, a check, the weighted MMD and its
+    gradient, verify's psi and the free weighted_mmd on one pool."""
+    cfg = DetectorConfig.from_pool(pool)
+    kernel = PoolKernel(pool, cfg)
+    idx = np.arange(0, len(pool), len(pool) // m)[:m]
+    b = np.zeros(len(pool))
+    b[idx] = 0.5
+    kernel.feasible(idx)
+    kernel.weighted(b)
+    kernel.weighted_grad(b)
+    psi(pool, CandidateSet(tuple(int(i) for i in idx)), cfg)
+    weighted_mmd(kernel._Z, b, cfg)
+    return kernel
+
+
+class TestDistanceRoutines:
+    """A small pool's squared distances come from numpy with cdist's and
+    pdist's bits; a larger pool's come from scipy in every pass."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_distance_operands())
+    def test_numpy_routines_have_scipy_bits(self, operands):
+        A, B = operands
+        want = cdist(A, B, "sqeuclidean")
+        assert detector._numpy_cdist(A, B).tobytes() == want.tobytes()
+        out = np.full(want.shape, np.nan)
+        assert detector._numpy_cdist(A, B, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        pairs = np.full(len(A) * (len(A) - 1) // 2, np.nan)
+        detector._numpy_pdist(A, pairs)
+        assert pairs.tobytes() == pdist(A, "sqeuclidean").tobytes()
+
+    def test_threads_keep_their_own_temporaries(self):
+        # each thread's later columns go through its own temporary, so
+        # concurrent calls of different shapes keep cdist's bits
+        gen = np.random.default_rng(3)
+        operands = [(gen.standard_normal((n, d)), gen.standard_normal((m, d)))
+                    for n, m, d in [(90, 70, 3), (40, 120, 5), (150, 20, 2), (7, 9, 4)]]
+        wants = [cdist(A, B, "sqeuclidean").tobytes() for A, B in operands]
+
+        def repeat(A, B):
+            return [detector._numpy_cdist(A, B).tobytes() for _ in range(200)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(operands)) as pool:
+                results = list(pool.map(lambda ab: repeat(*ab), operands,
+                                        timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(got == [want] * 200 for got, want in zip(results, wants))
+
+    def test_points_without_coordinates(self):
+        A, B = np.zeros((3, 0)), np.zeros((2, 0))
+        assert np.array_equal(detector._numpy_cdist(A, B), cdist(A, B, "sqeuclidean"))
+        pairs = np.full(3, np.nan)
+        detector._numpy_pdist(A, pairs)
+        assert np.array_equal(pairs, np.zeros(3))
+        pool = make_dataset(np.zeros((4, 0)), [1, 1, -1, -1])
+        with pytest.raises(DetectorError, match="degenerate pool"):
+            DetectorConfig.from_pool(pool)
+
+    def test_the_pool_size_picks_the_routine(self):
+        limit = detector._CHUNK_BYTES // 8
+        assert limit == detector._NUMPY_TERMS == 131_072
+        numpy_pair = (detector._numpy_cdist, detector._numpy_pdist)
+        scipy_pair = (detector._scipy_cdist, detector._scipy_pdist)
+        assert detector._distances_for(200 * 200 * 3) == numpy_pair  # acceptance
+        assert detector._distances_for(limit) == numpy_pair
+        assert detector._distances_for(limit + 1) == scipy_pair
+        assert detector._distances_for(3000 * 3000 * 3) == scipy_pair  # nlp-large
+        assert detector._distances_for(1000 * 1000 * 21) == scipy_pair  # beam-tight
+
+    def test_acceptance_pool_runs_numpy_in_every_pass(self):
+        pool = generate(acceptance_spec(0))[1]
+        scipy_cdist, scipy_pdist = _numpy_only()
+        with scipy_cdist, scipy_pdist:
+            kernel = _every_pass(pool, 20)
+        assert kernel._K is not None
+
+    @pytest.mark.parametrize("n_per_class, dim, m", [
+        (1500, 2, 50),   # nlp-large: no stored Gram matrix, blocks computed
+        (500, 20, 100),  # beam-tight
+        (105, 2, 20),    # 210^2 * 3 = 132,300 terms, just above numpy's
+    ])
+    def test_larger_pools_run_scipy_in_every_pass(self, n_per_class, dim, m):
+        pool = gaussian_task(67, n_per_class, dim=dim)
+        numpy_cdist, numpy_pdist = _scipy_only()
+        (scipy_cdist, scipy_pdist), counts = _counting_scipy()
+        with numpy_cdist, numpy_pdist, scipy_cdist, scipy_pdist:
+            _every_pass(pool, m)
+        assert counts["cdist"] and counts["pdist"] == 2  # one per class

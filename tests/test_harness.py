@@ -385,6 +385,15 @@ class TestRunExperiment:
         assert isinstance(err.value.cause, DataError)
         assert "gone.csv" in str(err.value.cause)
 
+    def test_out_dir_naming_a_file_is_a_data_error(self, tmp_path):
+        # raised before any stage runs, so no stage is charged with it
+        cfg = replace(base_config(tmp_path, write_task_files(tmp_path)),
+                      out_dir=str(tmp_path / "afile"))
+        (tmp_path / "afile").write_text("kept")
+        with pytest.raises(DataError, match="cannot create output directory .*afile"):
+            run_experiment(cfg)
+        assert (tmp_path / "afile").read_text() == "kept"
+
     @pytest.mark.parametrize("text, message", [
         ("{not json", "manifest.json: not a readable JSON file"),
         ('{"seed": 7}', "manifest.json: manifest has no 'config'"),
